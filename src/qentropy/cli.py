@@ -17,7 +17,6 @@ from .errors import DomainViolation, NoValidSplit, NumericalError, ValidationErr
 from .linalg import DensityOperator, PureState, make_density, outer_product
 from .ensembles import (
     MixedPureSplit,
-    QubitEnsembleSpec,
     assemble,
     assemble_general,
     enumerate_splits,
@@ -25,8 +24,10 @@ from .ensembles import (
     symmetric_split,
 )
 from .entropy import (
+    check_grid_size,
     composite,
     composite_closed_form,
+    grid,
     holevo_quantity,
     informational,
     ordering_scan,
@@ -59,23 +60,6 @@ def _csv_row(cells) -> str:
     return ",".join(cells)
 
 
-def _grid(limit: float, step: float) -> list[float]:
-    if not (math.isfinite(step) and 0.0 < step <= limit):
-        raise ValidationError(f"step must lie in (0, {limit}], got {step!r}")
-    n = int(math.floor(limit / step + 1e-9))
-    return [min(k * step, limit) for k in range(n + 1)]
-
-
-def _natural_qubit_split(spec: QubitEnsembleSpec) -> MixedPureSplit:
-    mixed_weight = spec.p0 + spec.p1
-    if mixed_weight > 0.0:
-        diagonal = np.array([spec.p0, spec.p1]) / mixed_weight
-    else:
-        diagonal = np.array([0.5, 0.5])
-    pures = ((spec.p2, spec.superposed()),) if spec.p2 > 0.0 else ()
-    return MixedPureSplit(mixed_weight, diagonal, pures)
-
-
 def _document_operator(doc: InputDocument) -> DensityOperator:
     if doc.kind == "density":
         return doc.payload
@@ -85,13 +69,11 @@ def _document_operator(doc: InputDocument) -> DensityOperator:
         return assemble_general(doc.payload)
     if doc.kind == "qubit-spec":
         return assemble(doc.payload)
-    raise ValidationError(f"{doc.kind!r} documents carry no state to analyze here")
+    raise ValidationError(f"entropy does not accept {doc.kind} documents")
 
 
 def cmd_entropy(args) -> int:
     doc = load_document(args.input)
-    if doc.kind == "game":
-        raise ValidationError("entropy does not accept game documents")
     op = _document_operator(doc)
 
     split = None
@@ -101,7 +83,7 @@ def cmd_entropy(args) -> int:
     elif args.p2 is not None:
         split = split_family(op, args.p2)
     elif doc.kind == "qubit-spec":
-        split = _natural_qubit_split(doc.payload)
+        split = doc.payload.natural_split()
     elif op.dim == 2:
         try:
             split = symmetric_split(op)
@@ -186,46 +168,46 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_table1(args) -> int:
+def _balanced_family(step: float):
+    # (a, [[1/2, a], [a, 1/2]], 2a |+><+| + (1 - 2a) I/2); unlike symmetric_split, valid at a = 1/2.
     plus = PureState(np.array([math.sqrt(0.5), math.sqrt(0.5)]))
-    print(_csv_row(["a", "s_i", "pure_share", "s_n"]))
-    for a in _grid(0.5, 0.05):
+    for a in grid(0.5, step):
         op = make_density(np.array([[0.5, a], [a, 0.5]]))
+        pures = ((2.0 * a, plus),) if a > 0.0 else ()
+        yield a, op, MixedPureSplit(1.0 - 2.0 * a, np.array([0.5, 0.5]), pures)
+
+
+def cmd_table1(args) -> int:
+    print(_csv_row(["a", "s_i", "pure_share", "s_n"]))
+    for a, op, split in _balanced_family(0.05):
         print(_csv_row([
             _fmt(a),
             _fmt(informational(op)),
-            _fmt(2.0 * a * pure_entropy(plus)),
+            _fmt(sum(w * pure_entropy(state) for w, state in split.pures)),
             _fmt(von_neumann(op)),
         ]))
     return 0
 
 
-def _balanced_family_split(a: float) -> MixedPureSplit:
-    # Stays valid at a = 1/2, where the state is the pure equal superposition.
-    plus = PureState(np.array([math.sqrt(0.5), math.sqrt(0.5)]))
-    pures = ((2.0 * a, plus),) if a > 0.0 else ()
-    return MixedPureSplit(1.0 - 2.0 * a, np.array([0.5, 0.5]), pures)
-
-
 def cmd_sweep(args) -> int:
+    step = args.step if args.step is not None else {2: 0.05, 3: 0.05, 5: 0.01}[args.figure]
     if args.figure == 2:
-        step = args.step if args.step is not None else 0.05
         print(_csv_row(["a", "s_n", "s_i", "s_ci"]))
-        for a in _grid(0.5, step):
-            op = make_density(np.array([[0.5, a], [a, 0.5]]))
+        for a, op, split in _balanced_family(step):
             print(_csv_row([
                 _fmt(a),
                 _fmt(von_neumann(op)),
                 _fmt(informational(op)),
-                _fmt(composite(_balanced_family_split(a))),
+                _fmt(composite(split)),
             ]))
         return 0
     if args.figure == 3:
-        step = args.step if args.step is not None else 0.05
         print(_csv_row(["x", "a", "s_ci"]))
+        xs, a_values = grid(1.0, step), grid(0.5, step)
+        check_grid_size(len(xs) * len(a_values), f"step {step!r}")
         omitted = 0
-        for x in _grid(1.0, step):
-            for a in _grid(0.5, step):
+        for x in xs:
+            for a in a_values:
                 try:
                     value = composite_closed_form(x, 1.0 - x, a)
                 except DomainViolation:
@@ -235,9 +217,8 @@ def cmd_sweep(args) -> int:
         if omitted:
             print(f"omitted {omitted} points outside the closed-form domain", file=sys.stderr)
         return 0
-    step = args.step if args.step is not None else 0.01
     print(_csv_row(["lambda", "s_sender", "s_receiver", "gain"]))
-    for lam, s_sender, s_receiver, gain in sweep_game(_grid(1.0, step)):
+    for lam, s_sender, s_receiver, gain in sweep_game(grid(1.0, step)):
         print(_csv_row([_fmt(lam), _fmt(s_sender), _fmt(s_receiver), _fmt(gain)]))
     return 0
 

@@ -129,6 +129,20 @@ class QubitEnsembleSpec:
     def superposed(self) -> PureState:
         return PureState(np.array([self.u, self.v], dtype=np.complex128))
 
+    def natural_split(self) -> MixedPureSplit:
+        """The split the ensemble itself dictates: basis weights mixed, rest pure.
+
+        Built directly from (p0, p1, p2, u, v) with no absorption, so ordering
+        violations show up as computed.
+        """
+        mixed_weight = self.p0 + self.p1
+        if mixed_weight > 0.0:
+            diagonal = np.array([self.p0, self.p1]) / mixed_weight
+        else:
+            diagonal = np.array([0.5, 0.5])
+        pures = ((self.p2, self.superposed()),) if self.p2 > 0.0 else ()
+        return MixedPureSplit(mixed_weight, diagonal, pures)
+
     def to_ensemble(self) -> Ensemble:
         return Ensemble(
             (

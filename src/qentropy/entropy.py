@@ -21,7 +21,7 @@ from .errors import (
     SplitMismatch,
     ValidationError,
 )
-from .linalg import PSD_TOL, DensityOperator, PureState, eig_hermitian
+from .linalg import PSD_TOL, DensityOperator, PureState
 from .ensembles import (
     Ensemble,
     MixedPureSplit,
@@ -34,6 +34,10 @@ PROB_SUM_TOL = 1e-6
 PROB_NEG_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-8
 ORDERING_SLACK = 1e-12
+
+# Most points one command's grid may have: ~40x the largest default or benchmark
+# grid (2.7k), so no step can make a run take much over 30 s or 100 MB.
+MAX_GRID_POINTS = 100_000
 
 
 def shannon(probabilities) -> float:
@@ -69,7 +73,7 @@ def _clamped_shannon(values: np.ndarray) -> float:
 
 def von_neumann(op: DensityOperator) -> float:
     """Entropy of the operator's spectrum."""
-    return _clamped_shannon(eig_hermitian(op).eigenvalues)
+    return _clamped_shannon(op.spectrum)
 
 
 def informational(op: DensityOperator) -> float:
@@ -233,19 +237,19 @@ class OrderingScanResult:
         return tuple(r for r in self.records if not r.holds_right)
 
 
-def _natural_split(spec: QubitEnsembleSpec) -> MixedPureSplit:
-    """The split the ensemble itself dictates: basis weights mixed, rest pure.
+def check_grid_size(points: float, what: str) -> None:
+    """Raise ValidationError for a grid of more than MAX_GRID_POINTS points."""
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(f"{what} gives {points:.4g} grid points, above the cap of {MAX_GRID_POINTS}")
 
-    Built directly from (p0, p1, p2, u, v) with no absorption, so ordering
-    violations show up as computed.
-    """
-    mixed_weight = spec.p0 + spec.p1
-    if mixed_weight > 0.0:
-        diagonal = np.array([spec.p0, spec.p1]) / mixed_weight
-    else:
-        diagonal = np.array([0.5, 0.5])
-    pures = ((spec.p2, spec.superposed()),) if spec.p2 > 0.0 else ()
-    return MixedPureSplit(mixed_weight, diagonal, pures)
+
+def grid(limit: float, step: float, name: str = "step") -> list[float]:
+    """Points 0, step, 2 step, ... up to `limit`, for a step in (0, limit]."""
+    if not (math.isfinite(step) and 0.0 < step <= limit):
+        raise ValidationError(f"{name} must lie in (0, {limit:g}], got {step!r}")
+    points = np.floor(limit / step + 1e-9) + 1.0
+    check_grid_size(points, f"{name} {step!r}")
+    return [min(k * step, limit) for k in range(int(points))]
 
 
 def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScanResult:
@@ -256,27 +260,22 @@ def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScanRes
     ordering flags with 1e-12 slack. The left inequality is reported as
     found; it is not universal over this family.
     """
-    for name, step in (("p_step", p_step), ("u2_step", u2_step)):
-        if not math.isfinite(step) or step <= 0.0 or step > 1.0:
-            raise ValidationError(f"{name} must lie in (0, 1], got {step!r}")
-
-    def grid(step: float) -> list[float]:
-        n = int(math.floor(1.0 / step + 1e-9))
-        return [min(k * step, 1.0) for k in range(n + 1)]
-
+    p_grid, u2_grid = grid(1.0, p_step, "p_step"), grid(1.0, u2_step, "u2_step")
+    pairs = len(p_grid) * (len(p_grid) + 1) // 2
+    check_grid_size(pairs * len(u2_grid), f"p_step {p_step!r} with u2_step {u2_step!r}")
     records: list[ScanRecord] = []
-    for p0 in grid(p_step):
-        for p1 in grid(p_step):
+    for p0 in p_grid:
+        for p1 in p_grid:
             p2 = 1.0 - p0 - p1
             if p2 < -1e-9:
                 continue
             p2 = max(p2, 0.0)
-            for u2 in grid(u2_step):
+            for u2 in u2_grid:
                 spec = QubitEnsembleSpec.from_u_squared(p0, p1, p2, u2)
                 op = assemble(spec)
                 s_n = von_neumann(op)
                 s_i = informational(op)
-                s_ci = composite(_natural_split(spec))
+                s_ci = composite(spec.natural_split())
                 records.append(
                     ScanRecord(
                         p0=p0,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoRootFound, TooManyRoots, ValidationError
 from .linalg import DensityOperator, PureState, mix, outer_product
-from .entropy import shannon, von_neumann
+from .entropy import check_grid_size, shannon, von_neumann
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -138,7 +138,9 @@ def _bracket_roots(
     Raises NoRootFound when fewer than `expected` roots appear and
     TooManyRoots when more do.
     """
-    xs = np.arange(grid_step, 1.0 - 0.5 * grid_step, grid_step)
+    stop = 1.0 - 0.5 * grid_step
+    check_grid_size(np.ceil((stop - grid_step) / grid_step), f"grid_step {grid_step!r}")
+    xs = np.arange(grid_step, stop, grid_step)
     if xs.size < 2:
         raise ValidationError(f"grid_step {grid_step!r} leaves no interior grid")
     values = [f(float(x)) for x in xs]

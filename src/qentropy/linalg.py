@@ -9,7 +9,7 @@ the two routes can be checked against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +33,6 @@ NORM_TOL = 1e-9
 # anything a finite-precision Hermitian matrix needs).
 JACOBI_OFFDIAG_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
-
-ORTHONORMALITY_TOL = 1e-8
 
 
 def _as_square_complex(matrix) -> np.ndarray:
@@ -80,11 +78,13 @@ class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite matrix.
 
     Construction validates all three properties (tolerances 1e-9) and stores
-    an exactly hermitized, read-only copy. Qubit entries are reachable as
-    ``x`` (top-left), ``y`` (bottom-right) and ``a`` (upper off-diagonal).
+    an exactly hermitized, read-only copy with its eigenvalues, descending and
+    read-only, as ``spectrum``. Qubit entries are reachable as ``x``
+    (top-left), ``y`` (bottom-right) and ``a`` (upper off-diagonal).
     """
 
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = _as_square_complex(self.matrix)
@@ -99,13 +99,16 @@ class DensityOperator:
             raise TraceNotOne(
                 f"trace is {float(np.trace(m).real)!r}, off unity by {trace_dev:.3e}"
             )
-        smallest = float(np.min(_jacobi_eigh(m, vectors=False)[0]))
-        if smallest < -PSD_TOL:
+        values = _jacobi_eigh(m, vectors=False)[0]
+        spectrum = values[np.argsort(-values, kind="stable")]
+        if spectrum[-1] < -PSD_TOL:
             raise NotPositiveSemidefinite(
-                f"smallest eigenvalue is {smallest:.3e}, below -{PSD_TOL:.0e}"
+                f"smallest eigenvalue is {spectrum[-1]:.3e}, below -{PSD_TOL:.0e}"
             )
         m.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:

@@ -325,3 +325,22 @@ class TestArgumentErrors:
 
     def test_missing_required_input_exits_2(self, capsys):
         assert cli.main(["entropy"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("threshold", "--step", "1e-300"),
+            ("sweep", "--figure", "2", "--step", "1e-9"),
+            ("theorem-scan", "--step", "1e-9"),
+            # Each axis is under the cap; their product is not.
+            ("sweep", "--figure", "3", "--step", "1e-3"),
+            ("theorem-scan", "--step", "1e-3"),
+        ],
+    )
+    def test_oversized_grid_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("error: ValidationError: ")
+        assert "above the cap of" in err
+        assert "Traceback" not in err

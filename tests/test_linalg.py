@@ -229,6 +229,24 @@ class TestEigHermitian:
                 mine = q.eig_hermitian(op).eigenvalues
                 ref = np.sort(np.linalg.eigvalsh(op.matrix))[::-1]
                 assert np.max(np.abs(mine - ref)) < 1e-9
+        # The spectrum kept at construction, including by derived operators.
+        for dim in (1, 2, 4, 8, 16, 32):
+            a, b = (q.make_density(random_density_matrix(rng, dim)) for _ in range(2))
+            half = max(dim // 2, 1)
+            small = q.make_density(random_density_matrix(rng, half))
+            pair = q.make_density(random_density_matrix(rng, dim // half))
+            for each in (
+                a,
+                q.mix([(0.3, a), (0.7, b)]),
+                q.kron(small, pair),
+                q.partial_trace(b, half, dim // half, "A"),
+            ):
+                spectrum = each.spectrum
+                assert np.array_equal(spectrum, q.eig_hermitian(each).eigenvalues)
+                ref = np.sort(np.linalg.eigvalsh(each.matrix))[::-1]
+                assert np.max(np.abs(spectrum - ref)) < 1e-12
+                assert np.all(spectrum[:-1] >= spectrum[1:])
+                assert not spectrum.flags.writeable
 
     def test_descending_order_enforced(self):
         with pytest.raises(q.ValidationError):
