@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     WeightSumInvalid,
 )
-from .linalg import DensityOperator, PureState, mix, outer_product
+from .linalg import DensityOperator, PureState, check_grid_size, mix, outer_product
 
 WEIGHT_TOL = 1e-9
 
@@ -354,12 +354,14 @@ def enumerate_splits(op: DensityOperator, count: int) -> list[MixedPureSplit]:
     The grid is linear over [p2_min, p2_max] with both endpoints included.
     Each sample first tries the heavy-on-|0> branch, then the mirrored one;
     samples admitting neither are dropped. Vanishing off-diagonals collapse
-    the whole family to the all-mixed split, repeated per sample.
+    the whole family to the all-mixed split, repeated per sample. A count
+    above MAX_GRID_POINTS raises ValidationError.
     """
     _require_qubit(op)
     n = int(count)
     if n < 1:
         raise ValidationError(f"count must be at least 1, got {count!r}")
+    check_grid_size(n, f"count {count!r}")
     r, phase = _offdiag_polar(op)
     if r <= NEGLIGIBLE_OFFDIAG:
         return [_all_mixed(op) for _ in range(n)]

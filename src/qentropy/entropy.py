@@ -21,7 +21,8 @@ from .errors import (
     SplitMismatch,
     ValidationError,
 )
-from .linalg import PSD_TOL, DensityOperator, PureState
+# MAX_GRID_POINTS is re-exported: the grid cap lives in linalg so ensembles can use it.
+from .linalg import MAX_GRID_POINTS, PSD_TOL, DensityOperator, PureState, check_grid_size
 from .ensembles import (
     Ensemble,
     MixedPureSplit,
@@ -34,10 +35,6 @@ PROB_SUM_TOL = 1e-6
 PROB_NEG_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-8
 ORDERING_SLACK = 1e-12
-
-# Most points one command's grid may have: ~40x the largest default or benchmark
-# grid (2.7k), so no step can make a run take much over 30 s or 100 MB.
-MAX_GRID_POINTS = 100_000
 
 
 def shannon(probabilities) -> float:
@@ -235,12 +232,6 @@ class OrderingScanResult:
     def right_violations(self) -> tuple[ScanRecord, ...]:
         """Points where S_ci > S_i beyond slack."""
         return tuple(r for r in self.records if not r.holds_right)
-
-
-def check_grid_size(points: float, what: str) -> None:
-    """Raise ValidationError for a grid of more than MAX_GRID_POINTS points."""
-    if points > MAX_GRID_POINTS:
-        raise ValidationError(f"{what} gives {points:.4g} grid points, above the cap of {MAX_GRID_POINTS}")
 
 
 def grid(limit: float, step: float, name: str = "step") -> list[float]:

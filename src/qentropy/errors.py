@@ -56,7 +56,7 @@ class ConvergenceFailure(NumericalError):
     """Iteration hit its cap before reaching tolerance.
 
     Carries the residual off-diagonal norm so callers can report how far
-    the sweep got.
+    the sweep got; when LAPACK itself fails, that is the input's norm.
     """
 
     def __init__(self, message: str, residual: float) -> None:

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoRootFound, TooManyRoots, ValidationError
-from .linalg import DensityOperator, PureState, mix, outer_product
-from .entropy import check_grid_size, shannon, von_neumann
+from .linalg import DensityOperator, PureState, check_grid_size, mix, outer_product
+from .entropy import shannon, von_neumann
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -78,12 +78,11 @@ def receiver_state(config: GameConfig) -> DensityOperator:
     )
 
 
-def entropy_gain(config: GameConfig) -> float:
-    """Receiver entropy minus sender entropy, in bits.
+def _game_entropies(config: GameConfig) -> tuple[float, float]:
+    """(sender entropy, receiver entropy) of one round, in bits.
 
     The default strategy uses the closed-form receiver spectrum
-    1/2 +- sqrt(lam(1-lam))/2; other strategies diagonalize the mixed
-    state. A zero injection weight returns exactly 0.
+    1/2 +- sqrt(lam(1-lam))/2; other strategies diagonalize the mixed state.
     """
     lam = config.lam
     sender_entropy = shannon(np.array([lam, 1.0 - lam]))
@@ -92,6 +91,15 @@ def entropy_gain(config: GameConfig) -> float:
         receiver_entropy = shannon(np.array([0.5 + half_root, 0.5 - half_root]))
     else:
         receiver_entropy = von_neumann(receiver_state(config))
+    return sender_entropy, receiver_entropy
+
+
+def entropy_gain(config: GameConfig) -> float:
+    """Receiver entropy minus sender entropy, in bits.
+
+    A zero injection weight returns exactly 0.
+    """
+    sender_entropy, receiver_entropy = _game_entropies(config)
     return receiver_entropy - sender_entropy
 
 
@@ -119,6 +127,9 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> fl
     f_lo = f(lo)
     while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
+        # Adjacent doubles: the bracket cannot shrink, whatever `tol` asks.
+        if mid == lo or mid == hi:
+            break
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
@@ -187,8 +198,7 @@ def sweep_game(lambdas) -> list[tuple[float, float, float, float]]:
         raise ValidationError("sweep needs at least one lambda")
     rows = []
     for lam in values:
-        config = GameConfig(lam)
-        sender_entropy = shannon(np.array([lam, 1.0 - lam]))
-        gain = entropy_gain(config)
+        sender_entropy, receiver_entropy = _game_entropies(GameConfig(lam))
+        gain = receiver_entropy - sender_entropy
         rows.append((lam, sender_entropy, sender_entropy + gain, gain))
     return rows

@@ -1,9 +1,11 @@
 """Validated state containers and Hermitian linear algebra.
 
 Density operators and pure states are frozen dataclasses that validate on
-construction and expose read-only arrays. The eigensolver is a cyclic Jacobi
-sweep for complex Hermitian matrices; a closed form covers the 2x2 case so
-the two routes can be checked against each other.
+construction and expose read-only arrays. Each operator's spectrum comes from
+LAPACK (``numpy.linalg.eigvalsh``) when it is built. A cyclic Jacobi sweep for
+complex Hermitian matrices serves ``eig_hermitian``, which needs eigenvectors
+in a deterministic order, and is the independent oracle the tests check the
+LAPACK spectrum and the 2x2 closed form against.
 """
 
 from __future__ import annotations
@@ -33,6 +35,17 @@ NORM_TOL = 1e-9
 # anything a finite-precision Hermitian matrix needs).
 JACOBI_OFFDIAG_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
+
+# Most points one command's grid, or split sample, may have: ~40x the largest
+# default or benchmark grid (2.7k), so no step or count can make a run take
+# much over 30 s or 100 MB.
+MAX_GRID_POINTS = 100_000
+
+
+def check_grid_size(points: float, what: str) -> None:
+    """Raise ValidationError for a grid of more than MAX_GRID_POINTS points."""
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(f"{what} gives {points:.4g} grid points, above the cap of {MAX_GRID_POINTS}")
 
 
 def _as_square_complex(matrix) -> np.ndarray:
@@ -99,8 +112,7 @@ class DensityOperator:
             raise TraceNotOne(
                 f"trace is {float(np.trace(m).real)!r}, off unity by {trace_dev:.3e}"
             )
-        values = _jacobi_eigh(m, vectors=False)[0]
-        spectrum = values[np.argsort(-values, kind="stable")]
+        spectrum = _eigvalsh_descending(m)
         if spectrum[-1] < -PSD_TOL:
             raise NotPositiveSemidefinite(
                 f"smallest eigenvalue is {spectrum[-1]:.3e}, below -{PSD_TOL:.0e}"
@@ -231,7 +243,7 @@ def eig2_closed_form(op: DensityOperator) -> tuple[float, float]:
     return (0.5 + half_gap, 0.5 - half_gap)
 
 
-def _rotate(a: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
+def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     """One Jacobi rotation annihilating the (p, q) off-diagonal pair.
 
     The pivot's phase is peeled off first so the rotation angle reduces to
@@ -262,11 +274,10 @@ def _rotate(a: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
     a[p, p] = a[p, p].real
     a[q, q] = a[q, q].real
 
-    if v is not None:
-        vcol_p = v[:, p].copy()
-        vcol_q = v[:, q].copy()
-        v[:, p] = c * vcol_p + s_minus * vcol_q
-        v[:, q] = -s_plus * vcol_p + c * vcol_q
+    vcol_p = v[:, p].copy()
+    vcol_q = v[:, q].copy()
+    v[:, p] = c * vcol_p + s_minus * vcol_q
+    v[:, q] = -s_plus * vcol_p + c * vcol_q
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -276,10 +287,9 @@ def _offdiag_norm(a: np.ndarray) -> float:
 
 def _jacobi_eigh(
     matrix: np.ndarray,
-    vectors: bool = True,
     offdiag_tol: float = JACOBI_OFFDIAG_TOL,
     max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi diagonalization of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvector columns), unsorted. The input is
@@ -288,7 +298,7 @@ def _jacobi_eigh(
     """
     a = np.array(matrix, dtype=np.complex128)
     d = a.shape[0]
-    v = np.eye(d, dtype=np.complex128) if vectors else None
+    v = np.eye(d, dtype=np.complex128)
     if d == 1:
         return np.real(np.diag(a)).copy(), v
     # Pivots already this far below the target norm cannot push it back up.
@@ -310,11 +320,29 @@ def _jacobi_eigh(
     return np.real(np.diag(a)).copy(), v
 
 
+def _eigvalsh_descending(m: np.ndarray) -> np.ndarray:
+    """LAPACK eigenvalues of a Hermitian matrix, stably sorted descending.
+
+    A LAPACK failure to converge raises ConvergenceFailure carrying the
+    input's off-diagonal norm as its residual.
+    """
+    try:
+        values = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        residual = _offdiag_norm(m)
+        raise ConvergenceFailure(
+            f"eigvalsh failed ({exc}); off-diagonal norm {residual:.3e}", residual=residual
+        ) from exc
+    return values[np.argsort(-values, kind="stable")]
+
+
 def eig_hermitian(op: DensityOperator) -> SpectralDecomposition:
     """Full spectral decomposition, eigenvalues descending.
 
     Ties keep the ascending original column order of the diagonalized
-    matrix, making the output deterministic for degenerate spectra.
+    matrix, making the output deterministic for degenerate spectra. This is
+    the Jacobi route: its eigenvalues agree with ``op.spectrum`` (LAPACK) to
+    about 1e-15 but are not bit-identical to it.
     """
     values, basis = _jacobi_eigh(op.matrix)
     order = np.argsort(-values, kind="stable")

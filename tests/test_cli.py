@@ -280,6 +280,18 @@ class TestThresholdCommand:
         assert code == 3
         assert "NoRootFound" in err
 
+    def test_eigensolver_failure_maps_to_3(self, capsys, monkeypatch):
+        def boom(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+        code, out, err = run(capsys, "entropy", "--input", str(INPUTS / "mixed_qubit.json"))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ConvergenceFailure: ")
+        assert "Traceback" not in err
+
 
 class TestHolevoCommand:
     def test_orthogonal_ensemble(self, capsys):
@@ -335,6 +347,7 @@ class TestArgumentErrors:
             # Each axis is under the cap; their product is not.
             ("sweep", "--figure", "3", "--step", "1e-3"),
             ("theorem-scan", "--step", "1e-3"),
+            ("decompose", "--input", str(INPUTS / "mixed_qubit.json"), "--count", "100001"),
         ],
     )
     def test_oversized_grid_exits_2(self, capsys, argv):

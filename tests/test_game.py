@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qentropy as q
-from qentropy.game import _bracket_roots
+from qentropy.game import _bisect, _bracket_roots
 
 # Zero crossings of the default strategy's gain solve 5t^2 - 5t + 1 = 0;
 # derived by comparing the receiver and sender eigenvalue distances from
@@ -163,6 +163,20 @@ class TestBracketHelper:
     def test_exact_grid_zero_counted_once(self):
         roots = _bracket_roots(lambda x: (x - 0.5) * (x - 0.25), 1e-10, 0.25, expected=2)
         assert sorted(roots) == pytest.approx([0.25, 0.5], abs=1e-9)
+
+    def test_bisect_stops_at_adjacent_doubles(self):
+        lo, hi = 0.7, math.nextafter(0.7, 1.0)
+        calls = 0
+
+        def step(x):
+            nonlocal calls
+            calls += 1
+            if calls > 100:
+                raise AssertionError("bisection stopped making progress")
+            return -1.0 if x <= lo else 1.0
+
+        root = _bisect(step, lo, hi, tol=1e-300)
+        assert lo <= root <= hi
 
 
 class TestSweepGame:
