@@ -123,9 +123,6 @@ def cmd_decompose(args) -> int:
         print("no valid splits in the sampled range", file=sys.stderr)
         return 0
 
-    def residual_of(split: MixedPureSplit) -> float:
-        return float(np.max(np.abs(split.reconstruct().matrix - op.matrix)))
-
     if args.csv:
         print(_csv_row(
             ["index", "pure_weight", "mixed_weight", "mixed_d0", "mixed_d1",
@@ -146,7 +143,7 @@ def cmd_decompose(args) -> int:
                 _fmt(split.mixed_diagonal[1]),
                 amp0,
                 amp1,
-                _fmt(residual_of(split)),
+                _fmt(split.residual(op)),
                 _fmt(composite(split)),
             ]))
         return 0
@@ -163,7 +160,7 @@ def cmd_decompose(args) -> int:
                 print(f"  pure: weight = {_fmt(weight)}, amplitudes = ({a0}, {a1})")
         else:
             print("  pure: none")
-        print(f"  residual = {_fmt(residual_of(split))}")
+        print(f"  residual = {_fmt(split.residual(op))}")
         print(f"  s_ci = {_fmt(composite(split))}")
     return 0
 

@@ -21,9 +21,16 @@ from .errors import (
     ValidationError,
     WeightSumInvalid,
 )
-from .linalg import DensityOperator, PureState, check_grid_size, mix, outer_product
-
-WEIGHT_TOL = 1e-9
+from .linalg import (
+    NORM_TOL,
+    WEIGHT_TOL,
+    DensityOperator,
+    PureState,
+    check_grid_size,
+    check_weights,
+    mix,
+    outer_product,
+)
 
 # Off-diagonal magnitudes below this are treated as zero: the family's pure
 # component degenerates to a basis state and is folded into the mixed part.
@@ -68,15 +75,11 @@ class Ensemble:
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
-        if not comps:
-            raise WeightSumInvalid("ensemble needs at least one component")
+        check_weights([c.weight for c in comps], "ensemble weights")
         dim = comps[0].dim
         for c in comps:
             if c.dim != dim:
                 raise DimensionMismatch(f"component dims differ: {c.dim} vs {dim}")
-        total = sum(c.weight for c in comps)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise WeightSumInvalid(f"weights sum to {total!r}, off unity by {abs(total - 1.0):.3e}")
         object.__setattr__(self, "components", comps)
 
     @property
@@ -99,20 +102,15 @@ class QubitEnsembleSpec:
     v: float
 
     def __post_init__(self) -> None:
-        for name in ("p0", "p1", "p2"):
-            w = float(getattr(self, name))
-            if not math.isfinite(w) or w < -WEIGHT_TOL or w > 1.0 + WEIGHT_TOL:
-                raise WeightSumInvalid(f"{name} = {w!r} outside [0, 1]")
-            object.__setattr__(self, name, max(w, 0.0))
-        total = self.p0 + self.p1 + self.p2
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise WeightSumInvalid(f"p0+p1+p2 = {total!r}, off unity by {abs(total - 1.0):.3e}")
+        weights = check_weights([self.p0, self.p1, self.p2], "p0, p1, p2")
+        for name, w in zip(("p0", "p1", "p2"), weights):
+            object.__setattr__(self, name, float(w))
         u = float(self.u)
         v = float(self.v)
         if not (math.isfinite(u) and math.isfinite(v)):
             raise ValidationError("amplitudes must be finite")
         norm_sq = u * u + v * v
-        if abs(norm_sq - 1.0) > 1e-9:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValidationError(f"u^2 + v^2 = {norm_sq!r}, off unity by {abs(norm_sq - 1.0):.3e}")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -174,9 +172,10 @@ class MixedPureSplit:
     """A density operator written as a diagonal mixture plus pure components.
 
     mixed_weight scales diag(mixed_diagonal); each (weight, state) pair in
-    `pures` scales a projector. Weights are nonnegative and total 1; the
-    mixed diagonal is a probability vector even when its weight is 0 (a
-    uniform placeholder keeps it meaningful).
+    `pures` scales a projector. The weights, and separately the mixed
+    diagonal, pass ``check_weights``: nonnegative after clamping, totalling 1
+    within 1e-9. The mixed diagonal is a probability vector even when its
+    weight is 0 (a uniform placeholder keeps it meaningful).
     """
 
     mixed_weight: float
@@ -184,34 +183,17 @@ class MixedPureSplit:
     pures: tuple[tuple[float, PureState], ...]
 
     def __post_init__(self) -> None:
-        w = float(self.mixed_weight)
-        if not math.isfinite(w) or w < -WEIGHT_TOL:
-            raise WeightSumInvalid(f"mixed_weight {self.mixed_weight!r} is negative")
-        w = max(w, 0.0)
-        diag = np.array(self.mixed_diagonal, dtype=np.float64)
-        if diag.ndim != 1 or diag.size < 1:
-            raise DimensionMismatch(f"mixed_diagonal must be a 1-d vector, got shape {diag.shape}")
-        if float(diag.min()) < -WEIGHT_TOL:
-            raise ValidationError(f"mixed_diagonal entry {float(diag.min())!r} is negative")
-        diag = np.maximum(diag, 0.0)
-        if abs(float(diag.sum()) - 1.0) > WEIGHT_TOL:
-            raise ValidationError(
-                f"mixed_diagonal sums to {float(diag.sum())!r}, off unity by {abs(float(diag.sum()) - 1.0):.3e}"
-            )
-        pures = tuple((float(pw), ps) for pw, ps in self.pures)
-        total = w
-        for pw, ps in pures:
-            if not math.isfinite(pw) or pw < -WEIGHT_TOL:
-                raise WeightSumInvalid(f"pure component weight {pw!r} is negative")
+        pures = tuple(self.pures)
+        states = tuple(ps for _, ps in pures)
+        weights = check_weights([self.mixed_weight, *(pw for pw, _ in pures)], "split weights")
+        diag = check_weights(self.mixed_diagonal, "mixed_diagonal")
+        for ps in states:
             if ps.dim != diag.size:
                 raise DimensionMismatch(f"pure component dim {ps.dim} vs diagonal size {diag.size}")
-            total += pw
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise WeightSumInvalid(f"split weights sum to {total!r}, off unity by {abs(total - 1.0):.3e}")
         diag.setflags(write=False)
-        object.__setattr__(self, "mixed_weight", w)
+        object.__setattr__(self, "mixed_weight", float(weights[0]))
         object.__setattr__(self, "mixed_diagonal", diag)
-        object.__setattr__(self, "pures", tuple((max(pw, 0.0), ps) for pw, ps in pures))
+        object.__setattr__(self, "pures", tuple(zip(map(float, weights[1:]), states)))
 
     @property
     def dim(self) -> int:
@@ -229,6 +211,10 @@ class MixedPureSplit:
         ]
         parts.extend((pw, outer_product(ps)) for pw, ps in self.pures)
         return mix(parts)
+
+    def residual(self, op: DensityOperator) -> float:
+        """Largest entrywise gap between the reassembled split and `op`."""
+        return float(np.max(np.abs(self.reconstruct().matrix - op.matrix)))
 
 
 def _require_qubit(op: DensityOperator) -> None:
@@ -320,11 +306,7 @@ def symmetric_split(op: DensityOperator) -> MixedPureSplit:
         raise NoValidSplit(
             f"balanced split needs both diagonal entries above |a| = {r:.6g}, got ({x:.6g}, {y:.6g})"
         )
-    mixed_weight = 1.0 - 2.0 * r
-    diagonal = np.array([x - r, y - r]) / mixed_weight
-    amp = math.sqrt(0.5)
-    pure = PureState(np.array([amp, amp * phase.conjugate()]))
-    return MixedPureSplit(mixed_weight, diagonal, ((2.0 * r, pure),))
+    return _one_pure_split(x, y, r, phase, 2.0 * r, heavy_index=0)
 
 
 def pure_weight_bounds(op: DensityOperator) -> tuple[float, float]:

@@ -6,6 +6,10 @@ and the composite entropy of a mixed+pure split, which charges the mixed
 part its distribution entropy and each pure component its superposition
 entropy. The Holevo quantity and an ordering scan over the
 three-preparation qubit family round out the module.
+
+``shannon`` is the one entry that validates a raw vector. The measures of
+validated types (DensityOperator, PureState, MixedPureSplit) trust the checks
+those types made when they were built and go straight to the entropy kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 # MAX_GRID_POINTS is re-exported: the grid cap lives in linalg so ensembles can use it.
-from .linalg import MAX_GRID_POINTS, PSD_TOL, DensityOperator, PureState, check_grid_size
+from .linalg import MAX_GRID_POINTS, TRACE_TOL, WEIGHT_TOL, DensityOperator, PureState, check_grid_size
 from .ensembles import (
     Ensemble,
     MixedPureSplit,
@@ -31,17 +35,24 @@ from .ensembles import (
     assemble_general,
 )
 
-PROB_SUM_TOL = 1e-6
 PROB_NEG_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-8
 ORDERING_SLACK = 1e-12
+
+
+def _entropy_bits(p: np.ndarray) -> float:
+    # Unchecked: callers pass a vector whose maker bounded its entries below
+    # at -1e-9 and its sum at 1 within 1e-9.
+    p = np.maximum(p, 0.0)
+    nz = p[p > 0.0]
+    return float(-np.sum(nz * np.log2(nz))) + 0.0
 
 
 def shannon(probabilities) -> float:
     """Shannon entropy of a probability vector, in bits.
 
     Entries may dip to -1e-12 (clamped to zero); the sum must be 1 within
-    1e-6. Zero entries contribute nothing.
+    1e-9. Zero entries contribute nothing.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
@@ -51,36 +62,25 @@ def shannon(probabilities) -> float:
     smallest = float(p.min())
     if smallest < -PROB_NEG_TOL:
         raise NotAProbabilityVector(f"entry {smallest!r} is negative")
-    p = np.maximum(p, 0.0)
-    total = float(p.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    total = float(np.maximum(p, 0.0).sum())
+    if abs(total - 1.0) > WEIGHT_TOL:
         raise NotAProbabilityVector(f"entries sum to {total!r}, off unity by {abs(total - 1.0):.3e}")
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz))) + 0.0
-
-
-def _clamped_shannon(values: np.ndarray) -> float:
-    # Spectra and diagonals of valid operators may carry negatives up to the
-    # PSD tolerance, which is looser than shannon's own clamp.
-    v = np.asarray(values, dtype=np.float64)
-    if float(v.min()) < -PSD_TOL:
-        raise NotAProbabilityVector(f"entry {float(v.min())!r} is below -{PSD_TOL:.0e}")
-    return shannon(np.maximum(v, 0.0))
+    return _entropy_bits(p)
 
 
 def von_neumann(op: DensityOperator) -> float:
     """Entropy of the operator's spectrum."""
-    return _clamped_shannon(op.spectrum)
+    return _entropy_bits(op.spectrum)
 
 
 def informational(op: DensityOperator) -> float:
     """Entropy of the operator's diagonal in the reference basis."""
-    return _clamped_shannon(op.diagonal())
+    return _entropy_bits(op.diagonal())
 
 
 def pure_entropy(state: PureState) -> float:
     """Superposition entropy: Shannon entropy of the squared amplitudes."""
-    return shannon(state.probabilities())
+    return _entropy_bits(state.probabilities())
 
 
 def composite(split: MixedPureSplit) -> float:
@@ -90,7 +90,7 @@ def composite(split: MixedPureSplit) -> float:
     diagonal; each pure component its weight times its superposition
     entropy.
     """
-    result = split.mixed_weight * _clamped_shannon(split.mixed_diagonal)
+    result = split.mixed_weight * _entropy_bits(split.mixed_diagonal)
     for weight, state in split.pures:
         result += weight * pure_entropy(state)
     return result + 0.0
@@ -105,7 +105,7 @@ def composite_closed_form(x: float, y: float, a: float) -> float:
     xf, yf, af = float(x), float(y), float(a)
     if not (math.isfinite(xf) and math.isfinite(yf) and math.isfinite(af)):
         raise DomainViolation("arguments must be finite")
-    if abs(xf + yf - 1.0) > 1e-9:
+    if abs(xf + yf - 1.0) > TRACE_TOL:
         raise DomainViolation(f"x + y = {xf + yf!r}, off unity by {abs(xf + yf - 1.0):.3e}")
     if af < 0.0:
         raise DomainViolation(f"a = {af!r} must be nonnegative")
@@ -150,7 +150,7 @@ def report(op: DensityOperator, split: MixedPureSplit | None = None) -> EntropyR
     s_ci = None
     pure_share = None
     if split is not None:
-        residual = float(np.max(np.abs(split.reconstruct().matrix - op.matrix)))
+        residual = split.residual(op)
         if residual > RECONSTRUCTION_TOL:
             raise SplitMismatch(
                 f"split reconstructs a different operator, max residual {residual:.3e}"
@@ -258,7 +258,7 @@ def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScanRes
     for p0 in p_grid:
         for p1 in p_grid:
             p2 = 1.0 - p0 - p1
-            if p2 < -1e-9:
+            if p2 < -WEIGHT_TOL:
                 continue
             p2 = max(p2, 0.0)
             for u2 in u2_grid:

@@ -1,7 +1,9 @@
 """Validated state containers and Hermitian linear algebra.
 
 Density operators and pure states are frozen dataclasses that validate on
-construction and expose read-only arrays. Each operator's spectrum comes from
+construction and expose read-only arrays; ``check_weights`` is the one check
+for mixture weights. Each invariant is checked once, where the value is
+built, and code downstream trusts it. Each operator's spectrum comes from
 LAPACK (``numpy.linalg.eigvalsh``) when it is built. A cyclic Jacobi sweep for
 complex Hermitian matrices serves ``eig_hermitian``, which needs eigenvectors
 in a deterministic order, and is the independent oracle the tests check the
@@ -29,6 +31,7 @@ HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
 NORM_TOL = 1e-9
+WEIGHT_TOL = 1e-9
 
 # Jacobi termination: off-diagonal Frobenius norm below this, or give up
 # after the sweep cap (convergence is quadratic; 100 sweeps is far beyond
@@ -45,7 +48,27 @@ MAX_GRID_POINTS = 100_000
 def check_grid_size(points: float, what: str) -> None:
     """Raise ValidationError for a grid of more than MAX_GRID_POINTS points."""
     if points > MAX_GRID_POINTS:
-        raise ValidationError(f"{what} gives {points:.4g} grid points, above the cap of {MAX_GRID_POINTS}")
+        raise ValidationError(f"{what} gives {points:.12g} grid points, above the cap of {MAX_GRID_POINTS}")
+
+
+def check_weights(weights, what: str) -> np.ndarray:
+    """Validate mixture weights; return them as a fresh float vector.
+
+    The vector must be 1-d, non-empty and finite. Entries down to
+    -WEIGHT_TOL are clamped to zero, and the sum must be 1 within
+    WEIGHT_TOL; anything else raises WeightSumInvalid naming `what`.
+    """
+    w = np.array(weights, dtype=np.float64)
+    if w.ndim != 1 or w.size < 1:
+        raise WeightSumInvalid(f"{what} must be a non-empty 1-d vector, got shape {w.shape}")
+    for v in w.tolist():
+        if not math.isfinite(v) or v < -WEIGHT_TOL:
+            raise WeightSumInvalid(f"{what} contain the entry {v!r}, negative or non-finite")
+    w = np.maximum(w, 0.0)
+    total = float(w.sum())
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise WeightSumInvalid(f"{what} sum to {total!r}, off unity by {abs(total - 1.0):.3e}")
+    return w
 
 
 def _as_square_complex(matrix) -> np.ndarray:
@@ -92,7 +115,9 @@ class DensityOperator:
 
     Construction validates all three properties (tolerances 1e-9) and stores
     an exactly hermitized, read-only copy with its eigenvalues, descending and
-    read-only, as ``spectrum``. Qubit entries are reachable as ``x``
+    read-only, as ``spectrum``. No eigenvalue, and so no diagonal entry, is
+    below -PSD_TOL; the entropy functions rely on that and do not check it
+    again. Qubit entries are reachable as ``x``
     (top-left), ``y`` (bottom-right) and ``a`` (upper off-diagonal).
     """
 
@@ -186,22 +211,14 @@ class SpectralDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-def make_density(matrix, tolerance: float = HERMITIAN_TOL) -> DensityOperator:
+def make_density(matrix) -> DensityOperator:
     """Validate a raw matrix into a DensityOperator.
 
-    Asymmetry up to `tolerance` is repaired by averaging with the conjugate
+    Asymmetry up to 1e-9 is repaired by averaging with the conjugate
     transpose; anything larger raises NotHermitian. Trace and positivity are
-    then enforced at the standard 1e-9 tolerances.
+    enforced at the same 1e-9 tolerances.
     """
-    if not (tolerance >= 0.0):
-        raise ValidationError(f"tolerance must be nonnegative, got {tolerance!r}")
-    m = _as_square_complex(matrix)
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > tolerance:
-        raise NotHermitian(
-            f"max |M - M^H| entry is {herm_dev:.3e}, above tolerance {tolerance:.3e}"
-        )
-    return DensityOperator(0.5 * (m + m.conj().T))
+    return DensityOperator(matrix)
 
 
 def outer_product(state: PureState) -> DensityOperator:
@@ -213,26 +230,18 @@ def outer_product(state: PureState) -> DensityOperator:
 def mix(components) -> DensityOperator:
     """Convex combination of density operators.
 
-    `components` is an iterable of (weight, DensityOperator) pairs. Weights
-    must be nonnegative and sum to 1 within 1e-9; operators must share one
-    dimension.
+    `components` is an iterable of (weight, DensityOperator) pairs. The
+    weights go through ``check_weights``: entries down to -1e-9 count as 0,
+    and the sum must be 1 within 1e-9. Operators must share one dimension.
     """
     pairs = list(components)
-    if not pairs:
-        raise WeightSumInvalid("mixture needs at least one component")
-    total = 0.0
+    weights = check_weights([w for w, _ in pairs], "mixture weights")
     dim = pairs[0][1].dim
     acc = np.zeros((dim, dim), dtype=np.complex128)
-    for weight, op in pairs:
-        w = float(weight)
-        if not math.isfinite(w) or w < 0.0:
-            raise WeightSumInvalid(f"weight {weight!r} is negative or non-finite")
+    for w, (_, op) in zip(weights, pairs):
         if op.dim != dim:
             raise DimensionMismatch(f"component dims differ: {op.dim} vs {dim}")
-        total += w
-        acc += w * op.matrix
-    if abs(total - 1.0) > 1e-9:
-        raise WeightSumInvalid(f"weights sum to {total!r}, off unity by {abs(total - 1.0):.3e}")
+        acc += float(w) * op.matrix
     return DensityOperator(acc)
 
 

@@ -357,3 +357,5 @@ class TestArgumentErrors:
         assert err.startswith("error: ValidationError: ")
         assert "above the cap of" in err
         assert "Traceback" not in err
+        if argv[0] == "decompose":
+            assert "100001 grid points" in err

@@ -54,6 +54,10 @@ class TestShannon:
         with pytest.raises(q.NotAProbabilityVector):
             q.shannon(np.array([0.6, 0.5]))
 
+    def test_sum_tolerance_is_weight_tolerance(self):
+        with pytest.raises(q.NotAProbabilityVector):
+            q.shannon(np.array([0.5, 0.5 + 1e-7]))
+
     def test_rejects_matrix(self):
         with pytest.raises(q.NotAProbabilityVector):
             q.shannon(np.eye(2) / 2.0)
@@ -99,6 +103,22 @@ class TestVonNeumann:
         assert q.von_neumann(op) == pytest.approx(
             q.von_neumann(q.make_density(np.diag([0.8, 0.2]))), abs=1e-9
         )
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.diag([0.6 + 5e-10, 0.4, -5e-10]),
+        np.array([[0.5, 0.5 + 4e-10], [0.5 + 4e-10, 0.5]]),
+    ],
+)
+def test_measures_clamp_tolerated_negatives(matrix):
+    # Smallest eigenvalue in (-PSD_TOL, 0): the operator is accepted, and its
+    # measures trust it, equalling shannon of the clamped vectors.
+    op = q.make_density(matrix)
+    assert -1e-9 < op.spectrum[-1] < 0.0
+    assert q.von_neumann(op) == q.shannon(np.maximum(op.spectrum, 0.0))
+    assert q.informational(op) == q.shannon(np.maximum(op.diagonal(), 0.0))
 
 
 class TestInformational:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qentropy as q
-from qentropy.linalg import _jacobi_eigh
+from qentropy.linalg import _jacobi_eigh, check_weights
 
 from conftest import random_density_matrix, random_pure_amplitudes
 
@@ -61,8 +61,10 @@ class TestDensityOperator:
             q.make_density([[0.7, 0.3], [0.2, 0.3]])
 
     def test_symmetrizes_within_tolerance(self):
-        op = q.make_density([[0.7, 0.21], [0.19, 0.3]], tolerance=0.05)
+        # |M - M^H| = 8e-10, inside the 1e-9 Hermitian tolerance: averaged, not rejected
+        op = q.make_density([[0.7, 0.2 + 4e-10], [0.2 - 4e-10, 0.3]])
         assert op.a == pytest.approx(0.2, abs=1e-15)
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(q.TraceNotOne):
@@ -78,10 +80,6 @@ class TestDensityOperator:
     def test_rejects_non_square(self):
         with pytest.raises(q.DimensionMismatch):
             q.make_density(np.ones((2, 3)) / 3.0)
-
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(q.ValidationError):
-            q.make_density(EXAMPLE, tolerance=-1.0)
 
     def test_qubit_accessors_need_dim_two(self):
         op = q.make_density(np.eye(3) / 3.0)
@@ -143,6 +141,13 @@ class TestMix:
         with pytest.raises(q.WeightSumInvalid):
             q.mix([(1.5, op), (-0.5, op)])
 
+    def test_clamps_weight_within_tolerance(self):
+        # -5e-10 lies inside WEIGHT_TOL: it counts as 0, as in every other weight check
+        op = q.make_density(EXAMPLE)
+        other = q.make_density(np.eye(2) / 2.0)
+        combined = q.mix([(1.0 + 5e-10, op), (-5e-10, other)])
+        assert np.array_equal(combined.matrix, (1.0 + 5e-10) * op.matrix)
+
     def test_rejects_dim_mismatch(self):
         a = q.make_density(np.eye(2) / 2.0)
         b = q.make_density(np.eye(3) / 3.0)
@@ -152,6 +157,21 @@ class TestMix:
     def test_rejects_empty(self):
         with pytest.raises(q.WeightSumInvalid):
             q.mix([])
+
+
+class TestCheckWeights:
+    def test_clamps_and_returns_fresh_vector(self):
+        raw = [0.5 + 5e-10, 0.5, -5e-10]
+        w = check_weights(raw, "weights")
+        assert w.tolist() == [0.5 + 5e-10, 0.5, 0.0]
+        assert raw[2] == -5e-10
+
+    @pytest.mark.parametrize(
+        "weights", [[], [[0.5, 0.5]], [np.nan, 1.0], [1.0 + 2e-9], [1.5, -0.5]]
+    )
+    def test_rejects_and_names_the_vector(self, weights):
+        with pytest.raises(q.WeightSumInvalid, match="^split weights "):
+            check_weights(weights, "split weights")
 
 
 class TestEig2ClosedForm:
