@@ -177,12 +177,8 @@ def _balanced_family(step: float):
 def cmd_table1(args) -> int:
     print(_csv_row(["a", "s_i", "pure_share", "s_n"]))
     for a, op, split in _balanced_family(0.05):
-        print(_csv_row([
-            _fmt(a),
-            _fmt(informational(op)),
-            _fmt(sum(w * pure_entropy(state) for w, state in split.pures)),
-            _fmt(von_neumann(op)),
-        ]))
+        rep = report(op, split)
+        print(_csv_row([_fmt(a), _fmt(rep.s_i), _fmt(rep.pure_share), _fmt(rep.s_n)]))
     return 0
 
 

@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatch,
     NoValidSplit,
     ValidationError,
-    WeightSumInvalid,
 )
 from .linalg import (
     NORM_TOL,
@@ -39,18 +38,18 @@ NEGLIGIBLE_OFFDIAG = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class EnsembleComponent:
-    """One preparation in an ensemble: a weight with a pure or mixed state."""
+    """One preparation in an ensemble: a weight with a pure or mixed state.
+
+    Only the state's type is checked here; the weight is checked, with the
+    others, when the component enters an ``Ensemble``.
+    """
 
     weight: float
     state: PureState | DensityOperator
 
     def __post_init__(self) -> None:
-        w = float(self.weight)
-        if not math.isfinite(w) or w < -WEIGHT_TOL or w > 1.0 + WEIGHT_TOL:
-            raise WeightSumInvalid(f"component weight {self.weight!r} outside [0, 1]")
         if not isinstance(self.state, (PureState, DensityOperator)):
             raise ValidationError(f"state must be PureState or DensityOperator, got {type(self.state).__name__}")
-        object.__setattr__(self, "weight", max(w, 0.0))
 
     @property
     def dim(self) -> int:
@@ -69,13 +68,18 @@ class EnsembleComponent:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Nonempty weighted collection of same-dimension states, weights summing to 1."""
+    """Nonempty weighted collection of same-dimension states, weights summing to 1.
+
+    The components' weights pass ``check_weights``; the ensemble keeps
+    components carrying the clamped weights it returns.
+    """
 
     components: tuple[EnsembleComponent, ...]
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
-        check_weights([c.weight for c in comps], "ensemble weights")
+        weights = check_weights([c.weight for c in comps], "ensemble weights")
+        comps = tuple(EnsembleComponent(float(w), c.state) for w, c in zip(weights, comps))
         dim = comps[0].dim
         for c in comps:
             if c.dim != dim:

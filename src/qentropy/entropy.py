@@ -83,6 +83,11 @@ def pure_entropy(state: PureState) -> float:
     return _entropy_bits(state.probabilities())
 
 
+def _pure_share(split: MixedPureSplit) -> float:
+    # The pure components' part of the composite entropy: sum of w_i S_p(psi_i).
+    return sum(weight * pure_entropy(state) for weight, state in split.pures) + 0.0
+
+
 def composite(split: MixedPureSplit) -> float:
     """Composite entropy of a mixed+pure split.
 
@@ -90,10 +95,7 @@ def composite(split: MixedPureSplit) -> float:
     diagonal; each pure component its weight times its superposition
     entropy.
     """
-    result = split.mixed_weight * _entropy_bits(split.mixed_diagonal)
-    for weight, state in split.pures:
-        result += weight * pure_entropy(state)
-    return result + 0.0
+    return split.mixed_weight * _entropy_bits(split.mixed_diagonal) + _pure_share(split)
 
 
 def composite_closed_form(x: float, y: float, a: float) -> float:
@@ -156,7 +158,7 @@ def report(op: DensityOperator, split: MixedPureSplit | None = None) -> EntropyR
                 f"split reconstructs a different operator, max residual {residual:.3e}"
             )
         s_ci = composite(split)
-        pure_share = sum(w * pure_entropy(s) for w, s in split.pures) + 0.0
+        pure_share = _pure_share(split)
     return EntropyReport(
         s_n=von_neumann(op), s_i=informational(op), s_ci=s_ci, pure_share=pure_share
     )

@@ -53,10 +53,11 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceFailure(NumericalError):
-    """Iteration hit its cap before reaching tolerance.
+    """An eigensolver failed to converge.
 
-    Carries the residual off-diagonal norm so callers can report how far
-    the sweep got; when LAPACK itself fails, that is the input's norm.
+    In the package that is LAPACK; ``residual`` is then the input's
+    off-diagonal Frobenius norm, a measure of how far from diagonal the
+    failed matrix was.
     """
 
     def __init__(self, message: str, residual: float) -> None:

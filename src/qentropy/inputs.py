@@ -44,7 +44,10 @@ def _number(obj: dict, key: str, where: str, default=None) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}[{key!r}] must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{where}[{key!r}] is an integer too large for a float") from None
 
 
 def _numeric_array(obj: dict, key: str, where: str, shape: tuple[int, ...] | None):
@@ -52,7 +55,7 @@ def _numeric_array(obj: dict, key: str, where: str, shape: tuple[int, ...] | Non
         return None
     try:
         arr = np.array(obj[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}[{key!r}] is not a numeric array: {exc}") from None
     if shape is not None and arr.shape != shape:
         raise ValidationError(f"{where}[{key!r}] has shape {arr.shape}, expected {shape}")
@@ -152,6 +155,8 @@ def load_document(path: str) -> InputDocument:
             obj = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad syntax, bytes that are not UTF-8 and integers
+        # past Python's digit limit; RecursionError, arrays nested too deep.
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     return parse_document(obj)

@@ -3,11 +3,11 @@
 Density operators and pure states are frozen dataclasses that validate on
 construction and expose read-only arrays; ``check_weights`` is the one check
 for mixture weights. Each invariant is checked once, where the value is
-built, and code downstream trusts it. Each operator's spectrum comes from
-LAPACK (``numpy.linalg.eigvalsh``) when it is built. A cyclic Jacobi sweep for
-complex Hermitian matrices serves ``eig_hermitian``, which needs eigenvectors
-in a deterministic order, and is the independent oracle the tests check the
-LAPACK spectrum and the 2x2 closed form against.
+built, and code downstream trusts it. LAPACK is the one eigensolver: each
+operator's spectrum comes from ``numpy.linalg.eigvalsh`` when it is built, and
+``eig_hermitian`` takes eigenvectors from ``numpy.linalg.eigh``. The tests
+check both, and the 2x2 closed form, against an independent cyclic Jacobi
+routine of their own.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
 NORM_TOL = 1e-9
 WEIGHT_TOL = 1e-9
-
-# Jacobi termination: off-diagonal Frobenius norm below this, or give up
-# after the sweep cap (convergence is quadratic; 100 sweeps is far beyond
-# anything a finite-precision Hermitian matrix needs).
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 # Most points one command's grid, or split sample, may have: ~40x the largest
 # default or benchmark grid (2.7k), so no step or count can make a run take
@@ -252,112 +246,46 @@ def eig2_closed_form(op: DensityOperator) -> tuple[float, float]:
     return (0.5 + half_gap, 0.5 - half_gap)
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation annihilating the (p, q) off-diagonal pair.
-
-    The pivot's phase is peeled off first so the rotation angle reduces to
-    the real symmetric formula; rows and columns then pick up conjugate
-    phase factors.
-    """
-    apq = complex(a[p, q])
-    r = abs(apq)
-    app = float(a[p, p].real)
-    aqq = float(a[q, q].real)
-    phase = apq / r
-    theta = 0.5 * math.atan2(2.0 * r, app - aqq)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    s_plus = s * phase
-    s_minus = s * phase.conjugate()
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + s_minus * col_q
-    a[:, q] = -s_plus * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + s_plus * row_q
-    a[q, :] = -s_minus * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p + s_minus * vcol_q
-    v[:, q] = -s_plus * vcol_p + c * vcol_q
-
-
 def _offdiag_norm(a: np.ndarray) -> float:
     off = a - np.diag(np.diag(a))
     return float(np.linalg.norm(off))
 
 
-def _jacobi_eigh(
-    matrix: np.ndarray,
-    offdiag_tol: float = JACOBI_OFFDIAG_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvector columns), unsorted. The input is
-    assumed Hermitian; callers validate. Raises ConvergenceFailure with the
-    residual off-diagonal norm if the sweep cap is hit.
-    """
-    a = np.array(matrix, dtype=np.complex128)
-    d = a.shape[0]
-    v = np.eye(d, dtype=np.complex128)
-    if d == 1:
-        return np.real(np.diag(a)).copy(), v
-    # Pivots already this far below the target norm cannot push it back up.
-    skip = offdiag_tol / (d * d)
-    sweeps = 0
-    while _offdiag_norm(a) >= offdiag_tol:
-        if sweeps >= max_sweeps:
-            residual = _offdiag_norm(a)
-            raise ConvergenceFailure(
-                f"off-diagonal norm {residual:.3e} after {sweeps} sweeps "
-                f"(target {offdiag_tol:.0e})",
-                residual=residual,
-            )
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(a[p, q]) > skip:
-                    _rotate(a, v, p, q)
-        sweeps += 1
-    return np.real(np.diag(a)).copy(), v
-
-
-def _eigvalsh_descending(m: np.ndarray) -> np.ndarray:
-    """LAPACK eigenvalues of a Hermitian matrix, stably sorted descending.
+def _lapack(solver, m: np.ndarray):
+    """Run a LAPACK Hermitian eigensolver (``numpy.linalg.eigvalsh`` or ``eigh``).
 
     A LAPACK failure to converge raises ConvergenceFailure carrying the
     input's off-diagonal norm as its residual.
     """
     try:
-        values = np.linalg.eigvalsh(m)
+        return solver(m)
     except np.linalg.LinAlgError as exc:
         residual = _offdiag_norm(m)
         raise ConvergenceFailure(
-            f"eigvalsh failed ({exc}); off-diagonal norm {residual:.3e}", residual=residual
+            f"{solver.__name__} failed ({exc}); off-diagonal norm {residual:.3e}", residual=residual
         ) from exc
+
+
+def _eigvalsh_descending(m: np.ndarray) -> np.ndarray:
+    """LAPACK eigenvalues of a Hermitian matrix, stably sorted descending."""
+    values = _lapack(np.linalg.eigvalsh, m)
     return values[np.argsort(-values, kind="stable")]
 
 
 def eig_hermitian(op: DensityOperator) -> SpectralDecomposition:
-    """Full spectral decomposition, eigenvalues descending.
+    """Full spectral decomposition from LAPACK (``numpy.linalg.eigh``).
 
-    Ties keep the ascending original column order of the diagonalized
-    matrix, making the output deterministic for degenerate spectra. This is
-    the Jacobi route: its eigenvalues agree with ``op.spectrum`` (LAPACK) to
-    about 1e-15 but are not bit-identical to it.
+    Eigenvalues are sorted descending by the same stable sort as
+    ``op.spectrum``; they agree with it to about 1e-15 but need not be
+    bit-identical. Each eigenvector's phase, and the basis and order chosen
+    inside a degenerate eigenspace, are LAPACK's. A diagonal input gives
+    exact unit vectors; where diagonal entries tie, LAPACK may list them out
+    of their original order (diag(0.4, 0.4, 0.2) lists e1 before e0).
     """
-    values, basis = _jacobi_eigh(op.matrix)
+    values, basis = _lapack(np.linalg.eigh, op.matrix)
     order = np.argsort(-values, kind="stable")
-    eigenvalues = values[order]
     states = tuple(PureState(basis[:, k]) for k in order)
-    return SpectralDecomposition(eigenvalues, states)
+    return SpectralDecomposition(values[order], states)
 
 
 def kron(left: DensityOperator, right: DensityOperator) -> DensityOperator:

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qentropy as q
 from qentropy import cli
+from qentropy.inputs import KINDS
+
+from conftest import MALFORMED_FILES
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -108,11 +116,15 @@ class TestEntropyCommand:
         assert code == 2
         assert "error" in err
 
-    def test_malformed_json_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "content", [b"{", *MALFORMED_FILES.values()], ids=["truncated", *MALFORMED_FILES]
+    )
+    def test_malformed_json_exits_2(self, capsys, tmp_path, content):
         bad = tmp_path / "bad.json"
-        bad.write_text("{")
-        code, _, _ = run(capsys, "entropy", "--input", str(bad))
+        bad.write_bytes(content)
+        code, _, err = run(capsys, "entropy", "--input", str(bad))
         assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_invalid_density_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "indefinite.json"
@@ -359,3 +371,38 @@ class TestArgumentErrors:
         assert "Traceback" not in err
         if argv[0] == "decompose":
             assert "100001 grid points" in err
+
+
+# Arbitrary JSON, with NaN, the infinities and an integer too large for a float among the scalars.
+_NUMBER = st.floats() | st.integers(-2, 2) | st.just(10**400)
+_SCALARS = st.none() | st.booleans() | st.integers() | _NUMBER | st.text(max_size=6)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_ROW = st.lists(_NUMBER, min_size=1, max_size=3)
+_ARRAY = _ROW | st.lists(_ROW, min_size=1, max_size=3)
+_NUMBERS = {key: _NUMBER for key in ("p0", "p1", "p2", "u2", "lambda", "injection_weight")}
+_KIND_DOCUMENTS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(KINDS), "re": _ARRAY},
+    optional={"im": _ARRAY, "dim": st.integers(-1, 4), "components": _JSON, **_NUMBERS},
+)
+
+
+class TestFuzzedDocuments:
+    """Any input file ends in exit code 0, 2 or 3 with at most one stderr line."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(document=_JSON | _KIND_DOCUMENTS)
+    def test_commands_keep_the_cli_contract(self, tmp_path_factory, document):
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(json.dumps(document))
+        for command in (["entropy"], ["entropy", "--csv"], ["decompose"], ["holevo"]):
+            out, err = io.StringIO(), io.StringIO()
+            # A warning would print a second stderr line, so it fails here as an exception.
+            with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main([*command, "--input", str(path)])
+            assert code in (0, 2, 3)
+            assert err.getvalue().count("\n") <= 1

@@ -82,8 +82,22 @@ class TestEnsemble:
         assert comp.operator() is op
 
     def test_component_rejects_weight(self):
-        with pytest.raises(q.WeightSumInvalid):
-            q.EnsembleComponent(1.2, q.PureState(np.array([1.0, 0.0])))
+        # A component alone accepts any weight; the Ensemble's one weight check rejects it.
+        heavy = q.EnsembleComponent(1.2, q.PureState(np.array([1.0, 0.0])))
+        light = q.EnsembleComponent(-0.2, q.PureState(np.array([0.0, 1.0])))
+        assert heavy.weight == 1.2
+        for components in ((heavy,), (heavy, light)):
+            with pytest.raises(q.WeightSumInvalid):
+                q.Ensemble(components)
+
+    def test_stores_clamped_weights(self):
+        ensemble = q.Ensemble(
+            (
+                q.EnsembleComponent(1.0 + 5e-10, q.PureState(np.array([1.0, 0.0]))),
+                q.EnsembleComponent(-5e-10, q.PureState(np.array([0.0, 1.0]))),
+            )
+        )
+        assert [c.weight for c in ensemble.components] == [1.0 + 5e-10, 0.0]
 
     def test_component_rejects_raw_array(self):
         with pytest.raises(q.ValidationError):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qentropy as q
+from qentropy.entropy import ORDERING_SLACK
 
 from conftest import random_density_matrix, random_pure_amplitudes
 
@@ -295,6 +296,13 @@ class TestOrderingScan:
         # 231 feasible (p0, p1) pairs on the 0.05 grid, 11 u^2 values each
         assert result.total == 231 * 11
         assert result.right_violations == ()
+
+    def test_concavity_bound_on_default_grid(self):
+        # S(sum w_i rho_i) <= H(w) + sum w_i S(rho_i) (Nielsen & Chuang, Thm 11.10); every
+        # preparation of this family is pure, so the bound is the Shannon entropy of the
+        # weights. A solver defect breaks this; the family's real left violations do not.
+        for r in q.ordering_scan().records:
+            assert r.s_n <= q.shannon([r.p0, r.p1, r.p2]) + ORDERING_SLACK
 
     def test_example_point_holds_both(self):
         result = q.ordering_scan(p_step=0.05, u2_step=0.1)

@@ -10,6 +10,8 @@ import pytest
 import qentropy as q
 from qentropy.inputs import parse_document
 
+from conftest import MALFORMED_FILES
+
 
 class TestDensityDocuments:
     def test_real_matrix(self):
@@ -160,8 +162,11 @@ class TestLoadDocument:
         with pytest.raises(q.ValidationError):
             q.load_document(str(tmp_path / "absent.json"))
 
-    def test_malformed_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content", [b"{not json", *MALFORMED_FILES.values()], ids=["not-json", *MALFORMED_FILES]
+    )
+    def test_malformed_json(self, tmp_path, content):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         with pytest.raises(q.ValidationError):
             q.load_document(str(path))

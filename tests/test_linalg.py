@@ -1,4 +1,8 @@
-"""Container validation and the Jacobi eigensolver."""
+"""Container validation and the LAPACK eigensolver routes.
+
+``op.spectrum``, ``eig_hermitian`` and the 2x2 closed form are checked
+against the independent Jacobi routine in ``jacobi_oracle``.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qentropy as q
-from qentropy.linalg import _jacobi_eigh, check_weights
+from qentropy.linalg import check_weights
 
 from conftest import random_density_matrix, random_pure_amplitudes
+from jacobi_oracle import jacobi_eigh, jacobi_spectrum
 
 # Recurring mixed qubit whose spectrum is known in closed form:
 # 1/2 +- sqrt(0.04 + 0.04).
@@ -219,18 +224,18 @@ class TestEigHermitian:
 
     def test_example_matches_closed_form(self):
         op = q.make_density(EXAMPLE)
-        dec = q.eig_hermitian(op)
+        vals = jacobi_spectrum(op.matrix)
         closed = q.eig2_closed_form(op)
-        assert abs(dec.eigenvalues[0] - closed[0]) < 1e-12
-        assert abs(dec.eigenvalues[1] - closed[1]) < 1e-12
+        assert abs(vals[0] - closed[0]) < 1e-12
+        assert abs(vals[1] - closed[1]) < 1e-12
 
     def test_closed_form_agreement_on_random_qubits(self, rng):
         for _ in range(1000):
             op = q.make_density(random_density_matrix(rng, 2))
-            dec = q.eig_hermitian(op)
+            vals = jacobi_spectrum(op.matrix)
             closed = q.eig2_closed_form(op)
-            assert abs(dec.eigenvalues[0] - closed[0]) < 1e-9
-            assert abs(dec.eigenvalues[1] - closed[1]) < 1e-9
+            assert abs(vals[0] - closed[0]) < 1e-9
+            assert abs(vals[1] - closed[1]) < 1e-9
 
     def test_reconstruction_and_orthonormality(self, rng):
         for dim in (2, 3, 4, 5, 6):
@@ -242,13 +247,12 @@ class TestEigHermitian:
                 assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-8
 
     def test_matches_numpy_spectra(self, rng):
-        # library eigensolver used as an independent oracle only
+        # eig_hermitian (LAPACK eigh) against the independent Jacobi route.
         for dim in (2, 3, 4, 5):
             for _ in range(25):
                 op = q.make_density(random_density_matrix(rng, dim))
                 mine = q.eig_hermitian(op).eigenvalues
-                ref = np.sort(np.linalg.eigvalsh(op.matrix))[::-1]
-                assert np.max(np.abs(mine - ref)) < 1e-9
+                assert np.max(np.abs(mine - jacobi_spectrum(op.matrix))) < 1e-9
         # The spectrum kept at construction, including by derived operators.
         for dim in (1, 2, 4, 8, 16, 32):
             a, b = (q.make_density(random_density_matrix(rng, dim)) for _ in range(2))
@@ -262,8 +266,10 @@ class TestEigHermitian:
                 q.partial_trace(b, half, dim // half, "A"),
             ):
                 spectrum = each.spectrum
-                # LAPACK spectrum against the independent Jacobi route.
-                assert np.max(np.abs(spectrum - q.eig_hermitian(each).eigenvalues)) < 1e-12
+                # Both LAPACK routes against the independent Jacobi route.
+                oracle = jacobi_spectrum(each.matrix)
+                assert np.max(np.abs(spectrum - oracle)) < 1e-12
+                assert np.max(np.abs(q.eig_hermitian(each).eigenvalues - oracle)) < 1e-12
                 ref = np.sort(np.linalg.eigvalsh(each.matrix))[::-1]
                 assert np.max(np.abs(spectrum - ref)) < 1e-12
                 assert np.all(spectrum[:-1] >= spectrum[1:])
@@ -286,7 +292,7 @@ class TestEigHermitian:
     def test_sweep_cap_raises_with_residual(self):
         m = np.array(EXAMPLE, dtype=complex)
         with pytest.raises(q.ConvergenceFailure) as err:
-            _jacobi_eigh(m, max_sweeps=0)
+            jacobi_eigh(m, max_sweeps=0)
         assert err.value.residual > 0.0
 
     def test_lapack_failure_raises_convergence_failure(self, monkeypatch):
@@ -298,6 +304,17 @@ class TestEigHermitian:
         with pytest.raises(q.ConvergenceFailure) as err:
             q.make_density(m)
         off_diagonal = m - np.diag(np.diag(m))
+        assert err.value.residual == pytest.approx(np.linalg.norm(off_diagonal))
+
+    def test_eigh_failure_raises_convergence_failure(self, monkeypatch):
+        def boom(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        op = q.make_density(EXAMPLE)
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        with pytest.raises(q.ConvergenceFailure) as err:
+            q.eig_hermitian(op)
+        off_diagonal = op.matrix - np.diag(np.diag(op.matrix))
         assert err.value.residual == pytest.approx(np.linalg.norm(off_diagonal))
 
 
