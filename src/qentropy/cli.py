@@ -165,10 +165,10 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _balanced_family(step: float):
+def _balanced_family(a_values: list[float]):
     # (a, [[1/2, a], [a, 1/2]], 2a |+><+| + (1 - 2a) I/2); unlike symmetric_split, valid at a = 1/2.
     plus = PureState(np.array([math.sqrt(0.5), math.sqrt(0.5)]))
-    for a in grid(0.5, step):
+    for a in a_values:
         op = make_density(np.array([[0.5, a], [a, 0.5]]))
         pures = ((2.0 * a, plus),) if a > 0.0 else ()
         yield a, op, MixedPureSplit(1.0 - 2.0 * a, np.array([0.5, 0.5]), pures)
@@ -176,17 +176,19 @@ def _balanced_family(step: float):
 
 def cmd_table1(args) -> int:
     print(_csv_row(["a", "s_i", "pure_share", "s_n"]))
-    for a, op, split in _balanced_family(0.05):
+    for a, op, split in _balanced_family(grid(0.5, 0.05)):
         rep = report(op, split)
         print(_csv_row([_fmt(a), _fmt(rep.s_i), _fmt(rep.pure_share), _fmt(rep.s_n)]))
     return 0
 
 
 def cmd_sweep(args) -> int:
+    # Each grid is validated before its CSV header, so a rejected step prints nothing.
     step = args.step if args.step is not None else {2: 0.05, 3: 0.05, 5: 0.01}[args.figure]
     if args.figure == 2:
+        a_values = grid(0.5, step)
         print(_csv_row(["a", "s_n", "s_i", "s_ci"]))
-        for a, op, split in _balanced_family(step):
+        for a, op, split in _balanced_family(a_values):
             print(_csv_row([
                 _fmt(a),
                 _fmt(von_neumann(op)),
@@ -195,9 +197,9 @@ def cmd_sweep(args) -> int:
             ]))
         return 0
     if args.figure == 3:
-        print(_csv_row(["x", "a", "s_ci"]))
         xs, a_values = grid(1.0, step), grid(0.5, step)
         check_grid_size(len(xs) * len(a_values), f"step {step!r}")
+        print(_csv_row(["x", "a", "s_ci"]))
         omitted = 0
         for x in xs:
             for a in a_values:
@@ -210,8 +212,9 @@ def cmd_sweep(args) -> int:
         if omitted:
             print(f"omitted {omitted} points outside the closed-form domain", file=sys.stderr)
         return 0
+    lambdas = grid(1.0, step)
     print(_csv_row(["lambda", "s_sender", "s_receiver", "gain"]))
-    for lam, s_sender, s_receiver, gain in sweep_game(grid(1.0, step)):
+    for lam, s_sender, s_receiver, gain in sweep_game(lambdas):
         print(_csv_row([_fmt(lam), _fmt(s_sender), _fmt(s_receiver), _fmt(gain)]))
     return 0
 

@@ -24,16 +24,16 @@ class NotPositiveSemidefinite(ValidationError):
     """Matrix has an eigenvalue below the negative tolerance."""
 
 
-class WeightSumInvalid(ValidationError):
+class NotAProbabilityVector(ValidationError):
+    """Vector has negative entries or does not sum to 1."""
+
+
+class WeightSumInvalid(NotAProbabilityVector):
     """Mixture weights are negative or do not sum to 1."""
 
 
 class DimensionMismatch(ValidationError):
     """Operands have incompatible or unsupported dimensions."""
-
-
-class NotAProbabilityVector(ValidationError):
-    """Vector has negative entries or does not sum to 1."""
 
 
 class NoValidSplit(ValidationError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoRootFound, TooManyRoots, ValidationError
 from .linalg import DensityOperator, PureState, check_grid_size, mix, outer_product
-from .entropy import shannon, von_neumann
+from .entropy import _entropy_bits, von_neumann
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -83,12 +83,13 @@ def _game_entropies(config: GameConfig) -> tuple[float, float]:
 
     The default strategy uses the closed-form receiver spectrum
     1/2 +- sqrt(lam(1-lam))/2; other strategies diagonalize the mixed state.
+    GameConfig checked lam, so both vectors go to the kernel unchecked.
     """
     lam = config.lam
-    sender_entropy = shannon(np.array([lam, 1.0 - lam]))
+    sender_entropy = _entropy_bits(np.array([lam, 1.0 - lam]))
     if config.is_default_strategy:
         half_root = 0.5 * math.sqrt(lam * (1.0 - lam))
-        receiver_entropy = shannon(np.array([0.5 + half_root, 0.5 - half_root]))
+        receiver_entropy = _entropy_bits(np.array([0.5 + half_root, 0.5 - half_root]))
     else:
         receiver_entropy = von_neumann(receiver_state(config))
     return sender_entropy, receiver_entropy
@@ -111,16 +112,6 @@ class ThresholdSolution:
     upper_root: float
     tolerance: float
     grid_step: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.lower_root < self.upper_root < 1.0):
-            raise ValidationError(
-                f"roots ({self.lower_root!r}, {self.upper_root!r}) are not ordered inside (0, 1)"
-            )
-        if abs(self.lower_root + self.upper_root - 1.0) > 1e-6:
-            raise ValidationError(
-                f"roots must be symmetric about 1/2, sum is {self.lower_root + self.upper_root!r}"
-            )
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

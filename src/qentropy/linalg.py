@@ -179,18 +179,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: tuple[PureState, ...]
 
-    def __post_init__(self) -> None:
-        vals = np.array(self.eigenvalues, dtype=np.float64)
-        if vals.ndim != 1 or vals.size != len(self.eigenvectors):
-            raise DimensionMismatch(
-                f"{vals.size} eigenvalues paired with {len(self.eigenvectors)} eigenvectors"
-            )
-        if np.any(vals[:-1] < vals[1:]):
-            raise ValidationError("eigenvalues must be in descending order")
-        vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", tuple(self.eigenvectors))
-
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
@@ -276,7 +264,8 @@ def eig_hermitian(op: DensityOperator) -> SpectralDecomposition:
     """Full spectral decomposition from LAPACK (``numpy.linalg.eigh``).
 
     Eigenvalues are sorted descending by the same stable sort as
-    ``op.spectrum``; they agree with it to about 1e-15 but need not be
+    ``op.spectrum`` and handed over read-only, with one eigenvector each;
+    they agree with the spectrum to about 1e-15 but need not be
     bit-identical. Each eigenvector's phase, and the basis and order chosen
     inside a degenerate eigenspace, are LAPACK's. A diagonal input gives
     exact unit vectors; where diagonal entries tie, LAPACK may list them out
@@ -284,8 +273,9 @@ def eig_hermitian(op: DensityOperator) -> SpectralDecomposition:
     """
     values, basis = _lapack(np.linalg.eigh, op.matrix)
     order = np.argsort(-values, kind="stable")
-    states = tuple(PureState(basis[:, k]) for k in order)
-    return SpectralDecomposition(values[order], states)
+    values = values[order]
+    values.setflags(write=False)
+    return SpectralDecomposition(values, tuple(PureState(basis[:, k]) for k in order))
 
 
 def kron(left: DensityOperator, right: DensityOperator) -> DensityOperator:

@@ -262,8 +262,12 @@ class TestSweepCommand:
         assert float(edge[3]) == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_step_exits_2(self, capsys):
-        code, _, _ = run(capsys, "sweep", "--figure", "2", "--step", "-0.1")
-        assert code == 2
+        # Rejected before any CSV header is printed, for every figure.
+        for figure in ("2", "3", "5"):
+            for step in ("-0.1", "nan", "inf"):
+                code, out, err = run(capsys, "sweep", "--figure", figure, "--step", step)
+                assert (code, out) == (2, ""), (figure, step)
+                assert err.startswith("error: ValidationError: ")
 
 
 class TestThresholdCommand:
@@ -363,8 +367,9 @@ class TestArgumentErrors:
         ],
     )
     def test_oversized_grid_exits_2(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2
+        assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: ValidationError: ")
         assert "above the cap of" in err

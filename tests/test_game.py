@@ -138,11 +138,14 @@ class TestThresholdRoots:
         with pytest.raises(q.ValidationError):
             q.threshold_roots(grid_step=0.7)
 
-    def test_solution_validates_ordering(self):
-        with pytest.raises(q.ValidationError):
-            q.ThresholdSolution(0.7, 0.3, 1e-9, 1e-3)
-        with pytest.raises(q.ValidationError):
-            q.ThresholdSolution(0.2, 0.7, 1e-9, 1e-3)
+    @pytest.mark.parametrize("tol", [1e-300, 1e-9, 1e-5, 1e-4, 1e-3, 0.2])
+    @pytest.mark.parametrize("step", [1e-3, 0.007, 0.013, 0.15])
+    def test_roots_within_half_tolerance(self, tol, step):
+        # Bisection stops once the bracket is narrower than tol and returns its
+        # midpoint; a tol below one ulp stops at adjacent doubles instead.
+        sol = q.threshold_roots(tol=tol, grid_step=step)
+        for root, exact in ((sol.lower_root, EXACT_LOWER), (sol.upper_root, EXACT_UPPER)):
+            assert abs(root - exact) <= max(tol / 2.0, math.ulp(exact))
 
 
 class TestBracketHelper:

