@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import DomainViolation, NoValidSplit, NumericalError, ValidationError
-from .linalg import DensityOperator, PureState, make_density, outer_product
+from .linalg import DensityOperator, PureState, check_grid_size, make_density, outer_product
 from .ensembles import (
     MixedPureSplit,
     assemble,
@@ -24,7 +24,6 @@ from .ensembles import (
     symmetric_split,
 )
 from .entropy import (
-    check_grid_size,
     composite,
     composite_closed_form,
     grid,
@@ -244,18 +243,17 @@ def cmd_holevo(args) -> int:
 
 
 def cmd_theorem_scan(args) -> int:
-    result = ordering_scan(p_step=args.step, u2_step=args.u2_step)
+    scan = ordering_scan(p_step=args.step, u2_step=args.u2_step)
+    numbers = (scan.p0, scan.p1, scan.p2, scan.u_squared, scan.s_n, scan.s_ci, scan.s_i)
+    flags = (scan.holds_left, scan.holds_right)
+    columns = [[_fmt(v) for v in c.tolist()] for c in numbers]
+    columns += [["true" if f else "false" for f in c.tolist()] for c in flags]
     print(_csv_row(["p0", "p1", "p2", "u2", "s_n", "s_ci", "s_i", "holds_left", "holds_right"]))
-    for rec in result.records:
-        print(_csv_row([
-            _fmt(rec.p0), _fmt(rec.p1), _fmt(rec.p2), _fmt(rec.u_squared),
-            _fmt(rec.s_n), _fmt(rec.s_ci), _fmt(rec.s_i),
-            "true" if rec.holds_left else "false",
-            "true" if rec.holds_right else "false",
-        ]))
+    for row in zip(*columns):
+        print(_csv_row(row))
     print(
-        f"points={result.total} left_violations={len(result.left_violations)} "
-        f"right_violations={len(result.right_violations)}",
+        f"points={scan.p0.size} left_violations={np.count_nonzero(~scan.holds_left)} "
+        f"right_violations={np.count_nonzero(~scan.holds_right)}",
         file=sys.stderr,
     )
     return 0

@@ -34,6 +34,10 @@ from .linalg import (
 # Off-diagonal magnitudes below this are treated as zero: the family's pure
 # component degenerates to a basis state and is folded into the mixed part.
 NEGLIGIBLE_OFFDIAG = 1e-12
+# Rounding overshoot past an exact bound (0 <= u^2 <= 1, p2 <= 1, 2|a| <= p2): clamped, not rejected.
+BOUND_SLACK = 1e-12
+# A pure-weight interval narrower than this is one point, sampled once.
+POINT_INTERVAL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +127,7 @@ class QubitEnsembleSpec:
     def from_u_squared(cls, p0: float, p1: float, p2: float, u_squared: float) -> QubitEnsembleSpec:
         """Build from u^2, taking both amplitudes nonnegative."""
         u2 = float(u_squared)
-        if not math.isfinite(u2) or u2 < -1e-12 or u2 > 1.0 + 1e-12:
+        if not math.isfinite(u2) or u2 < -BOUND_SLACK or u2 > 1.0 + BOUND_SLACK:
             raise ValidationError(f"u_squared = {u_squared!r} outside [0, 1]")
         u2 = min(max(u2, 0.0), 1.0)
         return cls(p0, p1, p2, math.sqrt(u2), math.sqrt(1.0 - u2))
@@ -250,7 +254,7 @@ def _one_pure_split(
     diagonal would go negative.
     """
     ratio = 2.0 * r / p2
-    if ratio > 1.0 + 1e-12:
+    if ratio > 1.0 + BOUND_SLACK:
         raise NoValidSplit(
             f"pure weight {p2:.6g} is below twice the off-diagonal magnitude {2.0 * r:.6g}"
         )
@@ -285,7 +289,7 @@ def split_family(op: DensityOperator, p2: float) -> MixedPureSplit:
     """
     _require_qubit(op)
     p2f = float(p2)
-    if not math.isfinite(p2f) or p2f <= 0.0 or p2f > 1.0 + 1e-12:
+    if not math.isfinite(p2f) or p2f <= 0.0 or p2f > 1.0 + BOUND_SLACK:
         raise ValidationError(f"p2 must lie in (0, 1], got {p2!r}")
     p2f = min(p2f, 1.0)
     r, phase = _offdiag_polar(op)
@@ -352,7 +356,7 @@ def enumerate_splits(op: DensityOperator, count: int) -> list[MixedPureSplit]:
     if r <= NEGLIGIBLE_OFFDIAG:
         return [_all_mixed(op) for _ in range(n)]
     lo, hi = pure_weight_bounds(op)
-    if hi - lo < 1e-12 or n == 1:
+    if hi - lo < POINT_INTERVAL or n == 1:
         grid = np.array([lo])
     else:
         grid = np.linspace(lo, hi, n)

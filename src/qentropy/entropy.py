@@ -5,11 +5,13 @@ von Neumann entropy of the spectrum, informational entropy of the diagonal,
 and the composite entropy of a mixed+pure split, which charges the mixed
 part its distribution entropy and each pure component its superposition
 entropy. The Holevo quantity and an ordering scan over the
-three-preparation qubit family round out the module.
+three-preparation qubit family round out the module. The scan is one array
+pass: it returns an ``OrderingScan`` of columns, one entry per grid point.
 
 ``shannon`` is the one entry that validates a raw vector. The measures of
 validated types (DensityOperator, PureState, MixedPureSplit) trust the checks
-those types made when they were built and go straight to the entropy kernel.
+those types made when they were built and go straight to the entropy kernel,
+``_entropy_bits``, which also takes stacked rows for the scan.
 """
 
 from __future__ import annotations
@@ -20,28 +22,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, SplitMismatch, ValidationError
-# MAX_GRID_POINTS is re-exported: the grid cap lives in linalg so ensembles can use it.
-from .linalg import (
-    MAX_GRID_POINTS, TRACE_TOL, WEIGHT_TOL, DensityOperator, PureState, check_grid_size, check_weights,
-)
-from .ensembles import (
-    Ensemble,
-    MixedPureSplit,
-    QubitEnsembleSpec,
-    assemble,
-    assemble_general,
-)
+from .linalg import TRACE_TOL, WEIGHT_TOL, DensityOperator, PureState, check_grid_size, check_weights
+from .ensembles import Ensemble, MixedPureSplit, assemble_general
 
 RECONSTRUCTION_TOL = 1e-8
 ORDERING_SLACK = 1e-12
+# Lets limit / step reach a whole number through rounding (0.3 / 0.1 = 2.9999999999999996).
+GRID_SLACK = 1e-9
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    # Unchecked: the vector's maker validated it. Clipped to [0, 1] (entries
-    # <= 0 dropped, the rest capped at 1), every term -p log2 p is >= 0, so
-    # the sum is >= 0 in floating point too. (np.clip would add ~4 us a call.)
-    nz = np.minimum(p[p > 0.0], 1.0)
-    return float(-np.sum(nz * np.log2(nz))) + 0.0
+def _entropy_bits(p: np.ndarray) -> float | np.ndarray:
+    """Entropy in bits of a vector, or of each row along the last axis.
+
+    Unchecked: the maker of `p` validated it. Entries are clipped to [0, 1],
+    so every term -p log2 p is >= 0 and so is the sum, in floating point too.
+    A vector drops its entries <= 0 and gives a float; rows map them to 1,
+    whose term is exactly 0, and give an array. Dropping keeps numpy's
+    pairwise-sum order of the nonzero terms, which padding would change at
+    eight or more entries. (np.clip would add ~4 us a call.)
+    """
+    if p.ndim == 1:
+        nz = np.minimum(p[p > 0.0], 1.0)
+        return float(-np.sum(nz * np.log2(nz))) + 0.0
+    nz = np.where(p > 0.0, np.minimum(p, 1.0), 1.0)
+    return -np.sum(nz * np.log2(nz), axis=-1) + 0.0
 
 
 def shannon(probabilities) -> float:
@@ -167,91 +171,79 @@ def holevo_quantity(ensemble: Ensemble) -> HolevoReport:
     return HolevoReport(chi=s_mix - avg, s_mix=s_mix, avg_component_entropy=avg)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One grid point of the ordering scan."""
-
-    p0: float
-    p1: float
-    p2: float
-    u_squared: float
-    s_n: float
-    s_ci: float
-    s_i: float
-    holds_left: bool
-    holds_right: bool
-
-
 @dataclass(frozen=True, eq=False)
-class OrderingScanResult:
-    """Grid scan of S_n <= S_ci <= S_i over the three-preparation family."""
+class OrderingScan:
+    """Grid scan of S_n <= S_ci <= S_i over the three-preparation family.
 
-    p_step: float
-    u2_step: float
-    records: tuple[ScanRecord, ...]
+    Every field is an array with one entry per grid point, in the scan's
+    order: p0 outermost, then p1, then u^2. The two flags hold each side of
+    the ordering with ORDERING_SLACK.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
-
-    @property
-    def left_violations(self) -> tuple[ScanRecord, ...]:
-        """Points where S_n > S_ci beyond slack (the non-universal side)."""
-        return tuple(r for r in self.records if not r.holds_left)
-
-    @property
-    def right_violations(self) -> tuple[ScanRecord, ...]:
-        """Points where S_ci > S_i beyond slack."""
-        return tuple(r for r in self.records if not r.holds_right)
+    p0: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    u_squared: np.ndarray
+    s_n: np.ndarray
+    s_ci: np.ndarray
+    s_i: np.ndarray
+    holds_left: np.ndarray
+    holds_right: np.ndarray
 
 
 def grid(limit: float, step: float, name: str = "step") -> list[float]:
     """Points 0, step, 2 step, ... up to `limit`, for a step in (0, limit]."""
     if not (math.isfinite(step) and 0.0 < step <= limit):
         raise ValidationError(f"{name} must lie in (0, {limit:g}], got {step!r}")
-    points = np.floor(limit / step + 1e-9) + 1.0
+    points = np.floor(limit / step + GRID_SLACK) + 1.0
     check_grid_size(points, f"{name} {step!r}")
     return [min(k * step, limit) for k in range(int(points))]
 
 
-def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScanResult:
+def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScan:
     """Evaluate the entropy ordering on a grid of qubit ensembles.
 
     Grids p0 and p1 by p_step with p2 = 1 - p0 - p1, and u^2 by u2_step.
-    Each point records S_n, S_ci of the ensemble's own split, S_i, and both
+    Each point gets S_n, S_ci of the ensemble's own split, S_i, and both
     ordering flags with 1e-12 slack. The left inequality is reported as
     found; it is not universal over this family.
+
+    One array pass: the ensemble's operator [[x, a], [a, y]] has x = p0 +
+    p2 u^2, y = p1 + p2 v^2 and a = p2 u v, with u = sqrt(u^2) and v =
+    sqrt(1 - u^2); all spectra come from one stacked LAPACK call. The
+    natural split charges its mixed part, weight p0 + p1, the entropy of
+    (p0, p1) / (p0 + p1), or of (1/2, 1/2) at weight 0, and its pure part
+    p2 H(u^2, v^2). Every value equals the scalar route's through
+    QubitEnsembleSpec, assemble and natural_split.
     """
-    p_grid, u2_grid = grid(1.0, p_step, "p_step"), grid(1.0, u2_step, "u2_step")
-    pairs = len(p_grid) * (len(p_grid) + 1) // 2
-    check_grid_size(pairs * len(u2_grid), f"p_step {p_step!r} with u2_step {u2_step!r}")
-    records: list[ScanRecord] = []
-    for p0 in p_grid:
-        for p1 in p_grid:
-            p2 = 1.0 - p0 - p1
-            if p2 < -WEIGHT_TOL:
-                continue
-            p2 = max(p2, 0.0)
-            for u2 in u2_grid:
-                spec = QubitEnsembleSpec.from_u_squared(p0, p1, p2, u2)
-                op = assemble(spec)
-                s_n = von_neumann(op)
-                s_i = informational(op)
-                s_ci = composite(spec.natural_split())
-                records.append(
-                    ScanRecord(
-                        p0=p0,
-                        p1=p1,
-                        p2=p2,
-                        u_squared=u2,
-                        s_n=s_n,
-                        s_ci=s_ci,
-                        s_i=s_i,
-                        holds_left=s_n <= s_ci + ORDERING_SLACK,
-                        holds_right=s_ci <= s_i + ORDERING_SLACK,
-                    )
-                )
-    return OrderingScanResult(p_step=p_step, u2_step=u2_step, records=tuple(records))
+    p_grid = np.array(grid(1.0, p_step, "p_step"))
+    u2_grid = np.array(grid(1.0, u2_step, "u2_step"))
+    pairs = p_grid.size * (p_grid.size + 1) // 2
+    check_grid_size(pairs * u2_grid.size, f"p_step {p_step!r} with u2_step {u2_step!r}")
+    p0, p1 = (c.ravel() for c in np.meshgrid(p_grid, p_grid, indexing="ij"))
+    p2 = 1.0 - p0 - p1
+    feasible = p2 >= -WEIGHT_TOL
+    p0, p1, p2 = (np.repeat(c[feasible], u2_grid.size) for c in (p0, p1, np.maximum(p2, 0.0)))
+    u2 = np.tile(u2_grid, np.count_nonzero(feasible))
+    u, v = np.sqrt(u2), np.sqrt(1.0 - u2)
+
+    x = p0 + p2 * u * u
+    y = p1 + p2 * v * v
+    a = p2 * u * v
+    ops = np.empty((x.size, 2, 2), dtype=np.complex128)
+    ops[:, 0, 0], ops[:, 1, 1] = x, y
+    ops[:, 0, 1] = ops[:, 1, 0] = a
+    s_n = _entropy_bits(np.linalg.eigvalsh(ops))
+    s_i = _entropy_bits(np.column_stack((x, y)))
+
+    mixed = p0 + p1
+    diagonal = np.divide(
+        np.column_stack((p0, p1)), mixed[:, None],
+        out=np.full((x.size, 2), 0.5), where=mixed[:, None] > 0.0,
+    )
+    s_ci = mixed * _entropy_bits(diagonal) + p2 * _entropy_bits(np.column_stack((u * u, v * v)))
+    return OrderingScan(
+        p0=p0, p1=p1, p2=p2, u_squared=u2, s_n=s_n, s_ci=s_ci, s_i=s_i,
+        holds_left=s_n <= s_ci + ORDERING_SLACK,
+        holds_right=s_ci <= s_i + ORDERING_SLACK,
+    )

@@ -220,27 +220,23 @@ def test_criterion_10_subadditivity():
 
 def test_criterion_11_ordering_scan():
     with criterion(11, "ordering scan: upper bound clean, lower-bound breaks reported"):
-        result = q.ordering_scan(p_step=0.05, u2_step=0.1)
-        assert result.right_violations == ()
-        broken = result.left_violations
+        scan = q.ordering_scan(p_step=0.05, u2_step=0.1)
+        assert scan.holds_right.all()
+        broken = np.flatnonzero(~scan.holds_left)
         print(
-            f"criterion 11 note: {len(broken)} of {result.total} grid points "
+            f"criterion 11 note: {broken.size} of {scan.p0.size} grid points "
             "sit below the spectrum entropy"
         )
-        for rec in broken[:3]:
+        for k in broken[:3]:
             print(
-                f"  p0={rec.p0:.2f} p1={rec.p1:.2f} p2={rec.p2:.2f} "
-                f"u2={rec.u_squared:.2f} s_n={rec.s_n:.4f} s_ci={rec.s_ci:.4f}"
+                f"  p0={scan.p0[k]:.2f} p1={scan.p1[k]:.2f} p2={scan.p2[k]:.2f} "
+                f"u2={scan.u_squared[k]:.2f} s_n={scan.s_n[k]:.4f} s_ci={scan.s_ci[k]:.4f}"
             )
-        for rec in broken:
-            assert not rec.holds_left
-            assert rec.s_ci < rec.s_n - 1e-12
-        balanced = [
-            rec for rec in result.records
-            if abs(rec.p0 - rec.p1) < 1e-12 and abs(rec.u_squared - 0.5) < 1e-12
-        ]
-        assert balanced
-        assert all(rec.holds_left and rec.holds_right for rec in balanced)
+        assert not scan.holds_left[broken].any()
+        assert np.all(scan.s_ci[broken] < scan.s_n[broken] - 1e-12)
+        balanced = (abs(scan.p0 - scan.p1) < 1e-12) & (abs(scan.u_squared - 0.5) < 1e-12)
+        assert balanced.any()
+        assert np.all(scan.holds_left[balanced] & scan.holds_right[balanced])
 
 
 def test_criterion_12_game_identities():

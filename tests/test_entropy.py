@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qentropy as q
-from qentropy.entropy import ORDERING_SLACK
+from qentropy.entropy import ORDERING_SLACK, _entropy_bits
 
 from conftest import random_density_matrix, random_pure_amplitudes
 
@@ -305,6 +305,21 @@ def test_holevo_is_its_two_terms_and_nonnegative(dim, count, seed):
     assert rep.chi >= -1e-12
 
 
+def _point(scan: q.OrderingScan, mask: np.ndarray) -> int:
+    """Index of the one grid point the mask selects."""
+    match = np.flatnonzero(mask)
+    assert match.size == 1
+    return int(match[0])
+
+
+def _counting(counts: dict, name: str, original):
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
 class TestOrderingScan:
     def test_rejects_bad_steps(self):
         with pytest.raises(q.ValidationError):
@@ -313,55 +328,79 @@ class TestOrderingScan:
             q.ordering_scan(u2_step=-0.1)
 
     def test_right_inequality_holds_on_default_grid(self):
-        result = q.ordering_scan()
+        scan = q.ordering_scan()
         # 231 feasible (p0, p1) pairs on the 0.05 grid, 11 u^2 values each
-        assert result.total == 231 * 11
-        assert result.right_violations == ()
+        assert scan.p0.size == 231 * 11
+        assert scan.holds_right.all()
 
     def test_concavity_bound_on_default_grid(self):
         # S(sum w_i rho_i) <= H(w) + sum w_i S(rho_i) (Nielsen & Chuang, Thm 11.10); every
         # preparation of this family is pure, so the bound is the Shannon entropy of the
         # weights. A solver defect breaks this; the family's real left violations do not.
-        for r in q.ordering_scan().records:
-            assert r.s_n <= q.shannon([r.p0, r.p1, r.p2]) + ORDERING_SLACK
+        scan = q.ordering_scan()
+        for p0, p1, p2, s_n in zip(*(c.tolist() for c in (scan.p0, scan.p1, scan.p2, scan.s_n))):
+            assert s_n <= q.shannon([p0, p1, p2]) + ORDERING_SLACK
 
     def test_example_point_holds_both(self):
-        result = q.ordering_scan(p_step=0.05, u2_step=0.1)
-        match = [
-            r
-            for r in result.records
-            if abs(r.p0 - 0.5) < 1e-12
-            and abs(r.p1 - 0.1) < 1e-12
-            and abs(r.u_squared - 0.5) < 1e-12
-        ]
-        assert len(match) == 1
-        rec = match[0]
-        assert rec.s_n == pytest.approx(0.755, abs=1e-3)
-        assert rec.s_ci == pytest.approx(0.790, abs=1e-3)
-        assert rec.s_i == pytest.approx(0.881, abs=1e-3)
-        assert rec.holds_left and rec.holds_right
+        scan = q.ordering_scan(p_step=0.05, u2_step=0.1)
+        k = _point(
+            scan,
+            (abs(scan.p0 - 0.5) < 1e-12)
+            & (abs(scan.p1 - 0.1) < 1e-12)
+            & (abs(scan.u_squared - 0.5) < 1e-12),
+        )
+        assert scan.s_n[k] == pytest.approx(0.755, abs=1e-3)
+        assert scan.s_ci[k] == pytest.approx(0.790, abs=1e-3)
+        assert scan.s_i[k] == pytest.approx(0.881, abs=1e-3)
+        assert scan.holds_left[k] and scan.holds_right[k]
 
     def test_left_violation_is_reported_faithfully(self):
         # near-basis pure component with a thin mixed part
-        result = q.ordering_scan(p_step=0.5, u2_step=0.01)
-        match = [
-            r
-            for r in result.records
-            if abs(r.p0 - 0.5) < 1e-12
-            and r.p1 == 0.0
-            and abs(r.u_squared - 0.01) < 1e-12
-        ]
-        assert len(match) == 1
-        rec = match[0]
-        assert rec.s_n > rec.s_ci
-        assert not rec.holds_left
-        assert rec.holds_right
-        assert rec in result.left_violations
+        scan = q.ordering_scan(p_step=0.5, u2_step=0.01)
+        k = _point(
+            scan,
+            (abs(scan.p0 - 0.5) < 1e-12) & (scan.p1 == 0.0) & (abs(scan.u_squared - 0.01) < 1e-12),
+        )
+        assert scan.s_n[k] > scan.s_ci[k]
+        assert not scan.holds_left[k]
+        assert scan.holds_right[k]
+        assert k in np.flatnonzero(~scan.holds_left)
 
     def test_majorization_inside_records(self):
-        result = q.ordering_scan(p_step=0.2, u2_step=0.25)
-        for rec in result.records:
-            assert rec.s_i >= rec.s_n - 1e-9
+        scan = q.ordering_scan(p_step=0.2, u2_step=0.25)
+        assert np.all(scan.s_i >= scan.s_n - 1e-9)
+
+    @pytest.mark.parametrize("p_step, u2_step", [(0.05, 0.1), (0.045, 0.125), (0.5, 0.01)])
+    def test_columns_equal_the_scalar_route(self, p_step, u2_step):
+        # The array pass against the validated objects, bit for bit at every point.
+        scan = q.ordering_scan(p_step, u2_step)
+        columns = (scan.p0, scan.p1, scan.p2, scan.u_squared, scan.s_n, scan.s_i, scan.s_ci)
+        for p0, p1, p2, u2, s_n, s_i, s_ci in zip(*(c.tolist() for c in columns)):
+            spec = q.QubitEnsembleSpec.from_u_squared(p0, p1, p2, u2)
+            op = q.assemble(spec)
+            assert s_n == q.von_neumann(op)
+            assert s_i == q.informational(op)
+            assert s_ci == q.composite(spec.natural_split())
+
+    def test_row_kernel_equals_vector_kernel(self, rng):
+        rows = rng.dirichlet(np.ones(2), size=500)
+        rows[:50, 0], rows[:50, 1] = 0.0, 1.0
+        rows[50:100, 0], rows[50:100, 1] = 1.0, 0.0
+        rows[100:150] = 0.5
+        stacked = _entropy_bits(rows)
+        assert stacked.shape == (500,)
+        assert stacked.tolist() == [_entropy_bits(row) for row in rows]
+
+    def test_one_stacked_solve_and_no_objects(self, monkeypatch):
+        counts: dict = {}
+        for cls in (q.DensityOperator, q.QubitEnsembleSpec, q.MixedPureSplit):
+            monkeypatch.setattr(cls, "__post_init__", _counting(counts, cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _counting(counts, "eigvalsh", np.linalg.eigvalsh))
+        q.ordering_scan()
+        assert counts == {"eigvalsh": 1}
+        # the counters see the scalar route's objects
+        q.assemble(q.QubitEnsembleSpec.from_u_squared(0.5, 0.5, 0.0, 0.5))
+        assert counts == {"eigvalsh": 2, "DensityOperator": 1, "QubitEnsembleSpec": 1}
 
 
 class TestOrderingProperties:
