@@ -13,10 +13,9 @@ import sys
 
 import numpy as np
 
-from .errors import DomainViolation, NoValidSplit, NumericalError, ValidationError
-from .linalg import DensityOperator, PureState, check_grid_size, make_density, outer_product
+from .errors import NoValidSplit, NumericalError, ValidationError
+from .linalg import DensityOperator, PureState, check_grid_size, outer_product
 from .ensembles import (
-    MixedPureSplit,
     assemble,
     assemble_general,
     enumerate_splits,
@@ -24,17 +23,17 @@ from .ensembles import (
     symmetric_split,
 )
 from .entropy import (
+    _closed_form_bits,
+    _entropy_bits,
+    _qubit_von_neumann,
     composite,
-    composite_closed_form,
     grid,
     holevo_quantity,
-    informational,
     ordering_scan,
     pure_entropy,
     report,
-    von_neumann,
 )
-from .game import GameConfig, entropy_gain, sweep_game, threshold_roots
+from .game import sweep_game, threshold_roots
 from .inputs import InputDocument, load_document
 
 
@@ -55,8 +54,15 @@ def _fmt_matrix(matrix: np.ndarray) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
-def _csv_row(cells) -> str:
-    return ",".join(cells)
+def _print_columns(header: list[str], columns) -> None:
+    # One CSV line per entry of the array columns, each formatted whole from .tolist().
+    cells = [
+        ["true" if v else "false" for v in c.tolist()] if c.dtype == bool else [_fmt(v) for v in c.tolist()]
+        for c in columns
+    ]
+    print(",".join(header))
+    for row in zip(*cells):
+        print(",".join(row))
 
 
 def _document_operator(doc: InputDocument) -> DensityOperator:
@@ -91,7 +97,7 @@ def cmd_entropy(args) -> int:
     rep = report(op, split)
 
     if args.csv:
-        print(_csv_row(["s_n", "s_i", "s_ci", "pure_share", "s_p"]))
+        print(",".join(["s_n", "s_i", "s_ci", "pure_share", "s_p"]))
         cells = [
             _fmt(rep.s_n),
             _fmt(rep.s_i),
@@ -99,7 +105,7 @@ def cmd_entropy(args) -> int:
             _fmt(rep.pure_share) if rep.pure_share is not None else "",
             _fmt(s_p) if s_p is not None else "",
         ]
-        print(_csv_row(cells))
+        print(",".join(cells))
         return 0
     print(f"matrix = {_fmt_matrix(op.matrix)}")
     print(f"s_n = {_fmt(rep.s_n)}")
@@ -123,7 +129,7 @@ def cmd_decompose(args) -> int:
         return 0
 
     if args.csv:
-        print(_csv_row(
+        print(",".join(
             ["index", "pure_weight", "mixed_weight", "mixed_d0", "mixed_d1",
              "amp0", "amp1", "residual", "s_ci"]
         ))
@@ -134,7 +140,7 @@ def cmd_decompose(args) -> int:
                 amp1 = _fmt_complex(state.amplitudes[1])
             else:
                 amp0 = amp1 = ""
-            print(_csv_row([
+            print(",".join([
                 str(idx),
                 _fmt(split.pure_weight),
                 _fmt(split.mixed_weight),
@@ -164,20 +170,19 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _balanced_family(a_values: list[float]):
-    # (a, [[1/2, a], [a, 1/2]], 2a |+><+| + (1 - 2a) I/2); unlike symmetric_split, valid at a = 1/2.
-    plus = PureState(np.array([math.sqrt(0.5), math.sqrt(0.5)]))
-    for a in a_values:
-        op = make_density(np.array([[0.5, a], [a, 0.5]]))
-        pures = ((2.0 * a, plus),) if a > 0.0 else ()
-        yield a, op, MixedPureSplit(1.0 - 2.0 * a, np.array([0.5, 0.5]), pures)
+def _balanced_family(step: float) -> tuple[np.ndarray, ...]:
+    # Columns of [[1/2, a], [a, 1/2]] and its split 2a |+><+| + (1 - 2a) I/2, which unlike
+    # symmetric_split is valid at a = 1/2; the split's mixed diagonal is the operator's.
+    a = grid(0.5, step)
+    s_n = _qubit_von_neumann(0.5, 0.5, a)
+    s_i = _entropy_bits(np.full((a.size, 2), 0.5))
+    pure_share = 2.0 * a * pure_entropy(PureState(np.full(2, math.sqrt(0.5))))
+    return a, s_n, s_i, (1.0 - 2.0 * a) * s_i + pure_share, pure_share
 
 
 def cmd_table1(args) -> int:
-    print(_csv_row(["a", "s_i", "pure_share", "s_n"]))
-    for a, op, split in _balanced_family(grid(0.5, 0.05)):
-        rep = report(op, split)
-        print(_csv_row([_fmt(a), _fmt(rep.s_i), _fmt(rep.pure_share), _fmt(rep.s_n)]))
+    a, s_n, s_i, _, pure_share = _balanced_family(0.05)
+    _print_columns(["a", "s_i", "pure_share", "s_n"], (a, s_i, pure_share, s_n))
     return 0
 
 
@@ -185,36 +190,21 @@ def cmd_sweep(args) -> int:
     # Each grid is validated before its CSV header, so a rejected step prints nothing.
     step = args.step if args.step is not None else {2: 0.05, 3: 0.05, 5: 0.01}[args.figure]
     if args.figure == 2:
-        a_values = grid(0.5, step)
-        print(_csv_row(["a", "s_n", "s_i", "s_ci"]))
-        for a, op, split in _balanced_family(a_values):
-            print(_csv_row([
-                _fmt(a),
-                _fmt(von_neumann(op)),
-                _fmt(informational(op)),
-                _fmt(composite(split)),
-            ]))
+        _print_columns(["a", "s_n", "s_i", "s_ci"], _balanced_family(step)[:4])
         return 0
     if args.figure == 3:
         xs, a_values = grid(1.0, step), grid(0.5, step)
-        check_grid_size(len(xs) * len(a_values), f"step {step!r}")
-        print(_csv_row(["x", "a", "s_ci"]))
-        omitted = 0
-        for x in xs:
-            for a in a_values:
-                try:
-                    value = composite_closed_form(x, 1.0 - x, a)
-                except DomainViolation:
-                    omitted += 1
-                    continue
-                print(_csv_row([_fmt(x), _fmt(a), _fmt(value)]))
-        if omitted:
-            print(f"omitted {omitted} points outside the closed-form domain", file=sys.stderr)
+        check_grid_size(xs.size * a_values.size, f"step {step!r}")
+        x, a = (c.ravel() for c in np.meshgrid(xs, a_values, indexing="ij"))
+        # The closed form's domain with y = 1 - x: both diagonal entries above a.
+        inside = (x > a) & (1.0 - x > a)
+        x, a = x[inside], a[inside]
+        _print_columns(["x", "a", "s_ci"], (x, a, _closed_form_bits(x, 1.0 - x, a)))
+        if x.size < inside.size:
+            print(f"omitted {inside.size - x.size} points outside the closed-form domain", file=sys.stderr)
         return 0
     lambdas = grid(1.0, step)
-    print(_csv_row(["lambda", "s_sender", "s_receiver", "gain"]))
-    for lam, s_sender, s_receiver, gain in sweep_game(lambdas):
-        print(_csv_row([_fmt(lam), _fmt(s_sender), _fmt(s_receiver), _fmt(gain)]))
+    _print_columns(["lambda", "s_sender", "s_receiver", "gain"], (lambdas, *sweep_game(lambdas)))
     return 0
 
 
@@ -223,9 +213,9 @@ def cmd_threshold(args) -> int:
     lower, upper = solution.lower_root, solution.upper_root
     print(f"lower_root = {_fmt(lower)}")
     print(f"upper_root = {_fmt(upper)}")
-    for left, right in ((0.0, lower), (lower, upper), (upper, 1.0)):
-        mid = 0.5 * (left + right)
-        gain = entropy_gain(GameConfig(mid))
+    intervals = ((0.0, lower), (lower, upper), (upper, 1.0))
+    _, _, gains = sweep_game([0.5 * (left + right) for left, right in intervals])
+    for (left, right), gain in zip(intervals, gains.tolist()):
         sign = "+" if gain > 0.0 else ("-" if gain < 0.0 else "0")
         print(f"gain sign on ({_fmt(left)}, {_fmt(right)}): {sign}")
     return 0
@@ -244,13 +234,11 @@ def cmd_holevo(args) -> int:
 
 def cmd_theorem_scan(args) -> int:
     scan = ordering_scan(p_step=args.step, u2_step=args.u2_step)
-    numbers = (scan.p0, scan.p1, scan.p2, scan.u_squared, scan.s_n, scan.s_ci, scan.s_i)
-    flags = (scan.holds_left, scan.holds_right)
-    columns = [[_fmt(v) for v in c.tolist()] for c in numbers]
-    columns += [["true" if f else "false" for f in c.tolist()] for c in flags]
-    print(_csv_row(["p0", "p1", "p2", "u2", "s_n", "s_ci", "s_i", "holds_left", "holds_right"]))
-    for row in zip(*columns):
-        print(_csv_row(row))
+    _print_columns(
+        ["p0", "p1", "p2", "u2", "s_n", "s_ci", "s_i", "holds_left", "holds_right"],
+        (scan.p0, scan.p1, scan.p2, scan.u_squared, scan.s_n, scan.s_ci, scan.s_i,
+         scan.holds_left, scan.holds_right),
+    )
     print(
         f"points={scan.p0.size} left_violations={np.count_nonzero(~scan.holds_left)} "
         f"right_violations={np.count_nonzero(~scan.holds_right)}",
@@ -259,8 +247,13 @@ def cmd_theorem_scan(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one diagnostic line, as for every other error: no usage banner
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qentropy",
         description="Entropy measures, decompositions, and the injection game for qubit states.",
     )

@@ -11,7 +11,7 @@ pass: it returns an ``OrderingScan`` of columns, one entry per grid point.
 ``shannon`` is the one entry that validates a raw vector. The measures of
 validated types (DensityOperator, PureState, MixedPureSplit) trust the checks
 those types made when they were built and go straight to the entropy kernel,
-``_entropy_bits``, which also takes stacked rows for the scan.
+``_entropy_bits``, which also takes stacked rows for the scan and the sweeps.
 """
 
 from __future__ import annotations
@@ -46,6 +46,14 @@ def _entropy_bits(p: np.ndarray) -> float | np.ndarray:
         return float(-np.sum(nz * np.log2(nz))) + 0.0
     nz = np.where(p > 0.0, np.minimum(p, 1.0), 1.0)
     return -np.sum(nz * np.log2(nz), axis=-1) + 0.0
+
+
+def _qubit_von_neumann(x: np.ndarray, y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """S_n of each real qubit operator [[x, a], [a, y]], unchecked: one stacked LAPACK call."""
+    ops = np.empty((a.size, 2, 2), dtype=np.complex128)
+    ops[:, 0, 0], ops[:, 1, 1] = x, y
+    ops[:, 0, 1] = ops[:, 1, 0] = a
+    return _entropy_bits(np.linalg.eigvalsh(ops))
 
 
 def shannon(probabilities) -> float:
@@ -106,11 +114,14 @@ def composite_closed_form(x: float, y: float, a: float) -> float:
         raise DomainViolation(
             f"closed form needs x > a and y > a, got x = {xf!r}, y = {yf!r}, a = {af!r}"
         )
+    return float(_closed_form_bits(xf, yf, af))
 
-    def plog2p(t: float) -> float:
-        return t * math.log2(t) if t > 0.0 else 0.0
 
-    return -plog2p(xf - af) - plog2p(yf - af) + plog2p(1.0 - 2.0 * af) + 2.0 * af
+def _closed_form_bits(x: np.ndarray, y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """composite_closed_form over columns, unchecked: the caller keeps x > a and y > a."""
+    t = np.stack((x - a, y - a, 1.0 - 2.0 * a))
+    plog2p = np.where(t > 0.0, t * np.log2(np.where(t > 0.0, t, 1.0)), 0.0)
+    return -plog2p[0] - plog2p[1] + plog2p[2] + 2.0 * a
 
 
 @dataclass(frozen=True)
@@ -191,13 +202,13 @@ class OrderingScan:
     holds_right: np.ndarray
 
 
-def grid(limit: float, step: float, name: str = "step") -> list[float]:
-    """Points 0, step, 2 step, ... up to `limit`, for a step in (0, limit]."""
+def grid(limit: float, step: float, name: str = "step") -> np.ndarray:
+    """The column 0, step, 2 step, ... up to `limit`, for a step in (0, limit]."""
     if not (math.isfinite(step) and 0.0 < step <= limit):
         raise ValidationError(f"{name} must lie in (0, {limit:g}], got {step!r}")
     points = np.floor(limit / step + GRID_SLACK) + 1.0
     check_grid_size(points, f"{name} {step!r}")
-    return [min(k * step, limit) for k in range(int(points))]
+    return np.minimum(np.arange(int(points)) * step, limit)
 
 
 def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScan:
@@ -216,8 +227,8 @@ def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScan:
     p2 H(u^2, v^2). Every value equals the scalar route's through
     QubitEnsembleSpec, assemble and natural_split.
     """
-    p_grid = np.array(grid(1.0, p_step, "p_step"))
-    u2_grid = np.array(grid(1.0, u2_step, "u2_step"))
+    p_grid = grid(1.0, p_step, "p_step")
+    u2_grid = grid(1.0, u2_step, "u2_step")
     pairs = p_grid.size * (p_grid.size + 1) // 2
     check_grid_size(pairs * u2_grid.size, f"p_step {p_step!r} with u2_step {u2_step!r}")
     p0, p1 = (c.ravel() for c in np.meshgrid(p_grid, p_grid, indexing="ij"))
@@ -229,11 +240,7 @@ def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScan:
 
     x = p0 + p2 * u * u
     y = p1 + p2 * v * v
-    a = p2 * u * v
-    ops = np.empty((x.size, 2, 2), dtype=np.complex128)
-    ops[:, 0, 0], ops[:, 1, 1] = x, y
-    ops[:, 0, 1] = ops[:, 1, 0] = a
-    s_n = _entropy_bits(np.linalg.eigvalsh(ops))
+    s_n = _qubit_von_neumann(x, y, p2 * u * v)
     s_i = _entropy_bits(np.column_stack((x, y)))
 
     mixed = p0 + p1

@@ -51,10 +51,6 @@ class GameConfig:
             if self.injected.dim != 2:
                 raise ValidationError(f"injected state must be a qubit, got dim {self.injected.dim}")
 
-    @property
-    def is_default_strategy(self) -> bool:
-        return self.injected is None and self.injection_weight == 0.5
-
     def injected_state(self) -> PureState:
         if self.injected is not None:
             return self.injected
@@ -78,30 +74,25 @@ def receiver_state(config: GameConfig) -> DensityOperator:
     )
 
 
-def _game_entropies(config: GameConfig) -> tuple[float, float]:
-    """(sender entropy, receiver entropy) of one round, in bits.
-
-    The default strategy uses the closed-form receiver spectrum
-    1/2 +- sqrt(lam(1-lam))/2; other strategies diagonalize the mixed state.
-    GameConfig checked lam, so both vectors go to the kernel unchecked.
-    """
-    lam = config.lam
-    sender_entropy = _entropy_bits(np.array([lam, 1.0 - lam]))
-    if config.is_default_strategy:
-        half_root = 0.5 * math.sqrt(lam * (1.0 - lam))
-        receiver_entropy = _entropy_bits(np.array([0.5 + half_root, 0.5 - half_root]))
-    else:
-        receiver_entropy = von_neumann(receiver_state(config))
-    return sender_entropy, receiver_entropy
+def _default_game(lam):
+    """(sender entropy, receiver entropy, gain) in bits of the default strategy, per checked lam."""
+    # The receiver spectrum is 1/2 +- sqrt(lam(1-lam))/2. A float gives floats; an array, columns.
+    half_root = 0.5 * np.sqrt(lam * (1.0 - lam))
+    sender_entropy = _entropy_bits(np.stack((lam, 1.0 - lam), axis=-1))
+    receiver_entropy = _entropy_bits(np.stack((0.5 + half_root, 0.5 - half_root), axis=-1))
+    return sender_entropy, receiver_entropy, receiver_entropy - sender_entropy
 
 
 def entropy_gain(config: GameConfig) -> float:
     """Receiver entropy minus sender entropy, in bits.
 
-    A zero injection weight returns exactly 0.
+    The default strategy reads sweep_game's kernel; other strategies
+    diagonalize the mixed state. A zero injection weight returns exactly 0.
     """
-    sender_entropy, receiver_entropy = _game_entropies(config)
-    return receiver_entropy - sender_entropy
+    if config.injected is None and config.injection_weight == 0.5:
+        return _default_game(config.lam)[2]
+    sender_entropy = _entropy_bits(np.array([config.lam, 1.0 - config.lam]))
+    return von_neumann(receiver_state(config)) - sender_entropy
 
 
 @dataclass(frozen=True)
@@ -132,11 +123,10 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> fl
     return 0.5 * (lo + hi)
 
 
-def _bracket_roots(
-    f: Callable[[float], float], tol: float, grid_step: float, expected: int
-) -> list[float]:
+def _bracket_roots(f: Callable, tol: float, grid_step: float, expected: int) -> list[float]:
     """Find sign changes of f on (0, 1) and refine each by bisection.
 
+    `f` takes the grid as one array and each bisection point as a float.
     Raises NoRootFound when fewer than `expected` roots appear and
     TooManyRoots when more do.
     """
@@ -145,16 +135,14 @@ def _bracket_roots(
     xs = np.arange(grid_step, stop, grid_step)
     if xs.size < 2:
         raise ValidationError(f"grid_step {grid_step!r} leaves no interior grid")
-    values = [f(float(x)) for x in xs]
-    roots: list[float] = []
-    for i in range(len(xs) - 1):
-        left, right = values[i], values[i + 1]
-        if left == 0.0:
-            roots.append(float(xs[i]))
-        elif right != 0.0 and (left < 0.0) != (right < 0.0):
-            roots.append(_bisect(f, float(xs[i]), float(xs[i + 1]), tol))
-    if values[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    values = f(xs)
+    zero = values == 0.0
+    # A root at each grid zero, and one bisected inside each strict sign change.
+    crossing = ~zero[:-1] & ~zero[1:] & ((values[:-1] < 0.0) != (values[1:] < 0.0))
+    roots = [
+        float(xs[i]) if zero[i] else _bisect(f, float(xs[i]), float(xs[i + 1]), tol)
+        for i in np.flatnonzero(zero | np.append(crossing, False))
+    ]
     if len(roots) > expected:
         raise TooManyRoots(
             f"found {len(roots)} sign changes, expected {expected}", roots=tuple(roots)
@@ -175,21 +163,21 @@ def threshold_roots(tol: float = 1e-9, grid_step: float = 1e-3) -> ThresholdSolu
     if not (math.isfinite(grid_step) and 0.0 < grid_step < 0.5):
         raise ValidationError(f"grid_step must lie in (0, 0.5), got {grid_step!r}")
 
-    def gain(lam: float) -> float:
-        return entropy_gain(GameConfig(lam))
+    def gain(lam):
+        # Bisection steps go through entropy_gain so that traces count them.
+        return _default_game(lam)[2] if np.ndim(lam) else entropy_gain(GameConfig(lam))
 
     lower, upper = _bracket_roots(gain, tol, grid_step, expected=2)
     return ThresholdSolution(lower_root=lower, upper_root=upper, tolerance=tol, grid_step=grid_step)
 
 
-def sweep_game(lambdas) -> list[tuple[float, float, float, float]]:
-    """Rows (lam, sender entropy, receiver entropy, gain) for the default strategy."""
-    values = [float(v) for v in lambdas]
-    if not values:
+def sweep_game(lambdas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (sender entropy, receiver entropy, gain) of the default strategy.
+
+    One entry per lambda, in input order, each in [0, 1]; the gains equal
+    entropy_gain's. Builds no GameConfig.
+    """
+    lam = np.array([_check_unit_interval("lam", v) for v in lambdas], dtype=np.float64)
+    if lam.size == 0:
         raise ValidationError("sweep needs at least one lambda")
-    rows = []
-    for lam in values:
-        sender_entropy, receiver_entropy = _game_entropies(GameConfig(lam))
-        gain = receiver_entropy - sender_entropy
-        rows.append((lam, sender_entropy, sender_entropy + gain, gain))
-    return rows
+    return _default_game(lam)

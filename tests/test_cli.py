@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qentropy as q
 from qentropy import cli
+from qentropy.entropy import RECONSTRUCTION_TOL
 from qentropy.inputs import KINDS
+from qentropy.linalg import MAX_GRID_POINTS
 
 from conftest import MALFORMED_FILES
 
@@ -217,6 +219,23 @@ class TestTable1Command:
         _, second, _ = run(capsys, "table1")
         assert first == second
 
+    @pytest.mark.parametrize("step", [0.05, 0.03, 0.001])
+    def test_balanced_columns_equal_the_scalar_route(self, step):
+        # The column pass behind table1 and figure 2 against validated objects, bit for bit
+        # at every point, where the split must also reconstruct its operator.
+        plus = q.PureState(np.full(2, math.sqrt(0.5)))
+        columns = cli._balanced_family(step)
+        assert columns[0].tolist() == [min(k * step, 0.5) for k in range(columns[0].size)]
+        for a, s_n, s_i, s_ci, pure_share in zip(*(c.tolist() for c in columns)):
+            op = q.make_density([[0.5, a], [a, 0.5]])
+            pures = ((2.0 * a, plus),) if a > 0.0 else ()
+            split = q.MixedPureSplit(1.0 - 2.0 * a, np.array([0.5, 0.5]), pures)
+            assert split.residual(op) <= RECONSTRUCTION_TOL
+            assert s_n == q.von_neumann(op)
+            assert s_i == q.informational(op)
+            assert s_ci == q.composite(split)
+            assert pure_share == q.report(op, split).pure_share
+
 
 class TestSweepCommand:
     def test_figure_2_default_grid(self, capsys):
@@ -260,6 +279,36 @@ class TestSweepCommand:
         assert float(center[3]) == pytest.approx(-0.188722, abs=1e-6)
         edge = by_lambda["0"]
         assert float(edge[3]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "coarse, fine",
+        [
+            # table1 is the balanced family on the 0.05 grid; figure 2 at step 0.5 has two points.
+            (("sweep", "--figure", "2", "--step", "0.5"), ("table1",)),
+            (("sweep", "--figure", "2", "--step", "0.05"), ("sweep", "--figure", "2", "--step", "0.001")),
+            (("sweep", "--figure", "3", "--step", "0.1"), ("sweep", "--figure", "3", "--step", "0.01")),
+            (("sweep", "--figure", "5", "--step", "0.1"), ("sweep", "--figure", "5", "--step", "0.001")),
+            (("threshold", "--step", "0.01"), ("threshold", "--step", "0.0005")),
+        ],
+        ids=["table1", "figure-2", "figure-3", "figure-5", "threshold"],
+    )
+    def test_validated_objects_do_not_grow_with_the_grid(self, capsys, monkeypatch, coarse, fine):
+        counts = {}
+        for cls in (q.DensityOperator, q.GameConfig):
+            original = cls.__post_init__
+
+            def counting(self, name=cls.__name__, original=original):
+                counts[name] = counts.get(name, 0) + 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        built = []
+        for argv in (coarse, fine):
+            counts.clear()
+            assert run(capsys, *argv)[0] == 0
+            built.append((counts.get("DensityOperator", 0), counts.get("GameConfig", 0)))
+        (coarse_ops, coarse_configs), (fine_ops, fine_configs) = built
+        assert fine_ops <= coarse_ops and fine_configs <= coarse_configs, built
 
     def test_bad_step_exits_2(self, capsys):
         # Rejected before any CSV header is printed, for every figure.
@@ -349,10 +398,14 @@ class TestTheoremScanCommand:
 
 class TestArgumentErrors:
     def test_unknown_command_exits_2(self, capsys):
-        assert cli.main(["frobnicate"]) == 2
+        code, out, err = run(capsys, "frobnicate")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: qentropy: ") and err.count("\n") == 1
 
     def test_missing_required_input_exits_2(self, capsys):
-        assert cli.main(["entropy"]) == 2
+        code, out, err = run(capsys, "entropy")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: qentropy entropy: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -395,6 +448,19 @@ _KIND_DOCUMENTS = st.fixed_dictionaries(
 )
 
 
+# Every float (NaN, the infinities, negatives and subnormals among them) and 0.5.
+_FLAG_VALUES = st.floats() | st.sampled_from([0.5, -0.5, 5e-324, -5e-324, 2.2250738585072014e-308])
+_FLAGS = [
+    ("sweep", "--figure", "2", "--step"),
+    ("sweep", "--figure", "3", "--step"),
+    ("sweep", "--figure", "5", "--step"),
+    ("threshold", "--tol"),
+    ("threshold", "--step"),
+    ("theorem-scan", "--step"),
+    ("theorem-scan", "--u2-step"),
+]
+
+
 class TestFuzzedDocuments:
     """Any input file ends in exit code 0, 2 or 3 with at most one stderr line."""
 
@@ -411,3 +477,20 @@ class TestFuzzedDocuments:
                 code = cli.main([*command, "--input", str(path)])
             assert code in (0, 2, 3)
             assert err.getvalue().count("\n") <= 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(flag=st.sampled_from(_FLAGS), value=_FLAG_VALUES)
+    # Steps just under each grid's cap: the most points a run may still take.
+    @example(flag=_FLAGS[0], value=0.5 / (MAX_GRID_POINTS - 1))
+    @example(flag=_FLAGS[1], value=math.nextafter(1.0 / 446, 1.0))
+    @example(flag=_FLAGS[2], value=1.0 / (MAX_GRID_POINTS - 1))
+    @example(flag=_FLAGS[4], value=1.0 / (MAX_GRID_POINTS + 1))
+    @example(flag=_FLAGS[5], value=0.0075)
+    @example(flag=_FLAGS[6], value=1.0 / 431.5)
+    def test_numeric_flags_keep_the_cli_contract(self, flag, value):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([*flag, repr(value)])
+        assert code in (0, 2, 3)
+        assert err.getvalue().count("\n") <= 1

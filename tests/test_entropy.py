@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qentropy as q
-from qentropy.entropy import ORDERING_SLACK, _entropy_bits
+from qentropy.entropy import ORDERING_SLACK, _closed_form_bits, _entropy_bits, grid
 
 from conftest import random_density_matrix, random_pure_amplitudes
 
@@ -207,6 +207,19 @@ class TestCompositeClosedForm:
             op = q.make_density([[x, a], [a, 1.0 - x]])
             via_split = q.composite(q.symmetric_split(op))
             assert abs(q.composite_closed_form(x, 1.0 - x, a) - via_split) < 1e-12
+
+    @pytest.mark.parametrize("step", [0.05, 0.01])
+    def test_column_kernel_on_the_figure_3_grid(self, step):
+        # The kernel sweep --figure 3 runs, on its masked grid: bit for bit against the
+        # checked scalar entry, and within 1e-12 of the split route's composite entropy.
+        x, a = (c.ravel() for c in np.meshgrid(grid(1.0, step), grid(0.5, step), indexing="ij"))
+        inside = (x > a) & (1.0 - x > a)
+        x, a = x[inside], a[inside]
+        values = _closed_form_bits(x, 1.0 - x, a)
+        for xk, ak, value in zip(x.tolist(), a.tolist(), values.tolist()):
+            assert value == q.composite_closed_form(xk, 1.0 - xk, ak)
+            op = q.make_density([[xk, ak], [ak, 1.0 - xk]])
+            assert abs(value - q.composite(q.symmetric_split(op))) <= 1e-12
 
     def test_rejects_bad_trace(self):
         with pytest.raises(q.DomainViolation):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qentropy as q
+from qentropy.entropy import _entropy_bits
 from qentropy.game import _bisect, _bracket_roots
 
 # Zero crossings of the default strategy's gain solve 5t^2 - 5t + 1 = 0;
@@ -155,7 +156,7 @@ class TestBracketHelper:
 
     def test_too_many_crossings(self):
         with pytest.raises(q.TooManyRoots) as err:
-            _bracket_roots(lambda x: math.sin(8.0 * math.pi * x), 1e-9, 0.01, expected=2)
+            _bracket_roots(lambda x: np.sin(8.0 * np.pi * x), 1e-9, 0.01, expected=2)
         assert len(err.value.roots) > 2
 
     def test_refines_known_root(self):
@@ -182,27 +183,45 @@ class TestBracketHelper:
         assert lo <= root <= hi
 
 
+def scalar_gain(lam: float) -> float:
+    """The default strategy's gain for one lambda, from two vectors and math.sqrt."""
+    half_root = 0.5 * math.sqrt(lam * (1.0 - lam))
+    receiver = _entropy_bits(np.array([0.5 + half_root, 0.5 - half_root]))
+    return receiver - _entropy_bits(np.array([lam, 1.0 - lam]))
+
+
 class TestSweepGame:
     def test_rows_carry_consistent_columns(self):
-        rows = q.sweep_game([0.0, 0.25, 0.5])
-        assert len(rows) == 3
-        lam, s_a, s_b, gain = rows[2]
-        assert lam == 0.5
-        assert s_a == pytest.approx(1.0, abs=1e-12)
-        assert s_b == pytest.approx(binary_entropy(0.75), abs=1e-12)
-        assert gain == pytest.approx(s_b - s_a, abs=1e-15)
+        sender, receiver, gain = q.sweep_game([0.0, 0.25, 0.5])
+        assert sender.shape == receiver.shape == gain.shape == (3,)
+        assert sender[2] == pytest.approx(1.0, abs=1e-12)
+        assert receiver[2] == pytest.approx(binary_entropy(0.75), abs=1e-12)
+        assert gain[2] == receiver[2] - sender[2]
 
     def test_degenerate_endpoint_row(self):
-        (row,) = q.sweep_game([0.0])
-        assert row == (0.0, 0.0, 1.0, 1.0)
+        assert [c.tolist() for c in q.sweep_game([0.0])] == [[0.0], [1.0], [1.0]]
 
     def test_preserves_input_order(self):
-        rows = q.sweep_game([0.9, 0.1])
-        assert rows[0][0] == 0.9
-        assert rows[1][0] == 0.1
+        sender, _, gain = q.sweep_game([0.5, 0.1])
+        assert sender[0] == pytest.approx(1.0, abs=1e-12)
+        assert sender[1] == pytest.approx(binary_entropy(0.1), abs=1e-12)
+        assert gain[0] < 0.0 < gain[1]
 
     def test_rejects_empty_and_out_of_range(self):
         with pytest.raises(q.ValidationError):
             q.sweep_game([])
-        with pytest.raises(q.ValidationError):
-            q.sweep_game([1.5])
+        for bad in (1.5, -0.1, math.nan, math.inf):
+            for lambdas in ([bad], [0.5, bad]):
+                with pytest.raises(q.ValidationError):
+                    q.sweep_game(lambdas)
+
+    @pytest.mark.parametrize("step", [1e-3, 0.01, 5e-4])
+    def test_columns_equal_the_scalar_route(self, step):
+        # The threshold bracket's grid: every gain bit for bit against one lambda at a time.
+        lambdas = np.arange(step, 1.0 - 0.5 * step, step)
+        sender, receiver, gain = q.sweep_game(lambdas)
+        for k, lam in enumerate(lambdas.tolist()):
+            assert gain[k] == scalar_gain(lam) == q.entropy_gain(q.GameConfig(lam))
+            assert sender[k] == _entropy_bits(np.array([lam, 1.0 - lam]))
+            # The receiver's closed-form spectrum against a LAPACK solve of its operator.
+            assert receiver[k] == pytest.approx(q.von_neumann(q.receiver_state(q.GameConfig(lam))), abs=1e-12)
