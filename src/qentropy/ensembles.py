@@ -25,10 +25,9 @@ from .linalg import (
     WEIGHT_TOL,
     DensityOperator,
     PureState,
+    _mix,
     check_grid_size,
     check_weights,
-    mix,
-    outer_product,
 )
 
 # Off-diagonal magnitudes below this are treated as zero: the family's pure
@@ -45,7 +44,7 @@ class EnsembleComponent:
     """One preparation in an ensemble: a weight with a pure or mixed state.
 
     Only the state's type is checked here; the weight is checked, with the
-    others, when the component enters an ``Ensemble``.
+    others, in an ``Ensemble``. ``operator()`` is the raw matrix it sums.
     """
 
     weight: float
@@ -63,11 +62,9 @@ class EnsembleComponent:
     def is_pure(self) -> bool:
         return isinstance(self.state, PureState)
 
-    def operator(self) -> DensityOperator:
-        """The component as a density operator, projecting pure states."""
-        if isinstance(self.state, PureState):
-            return outer_product(self.state)
-        return self.state
+    def operator(self) -> np.ndarray:
+        """The component's raw matrix: a pure state's projector, or the operator's matrix."""
+        return self.state.projector() if self.is_pure else self.state.matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +168,8 @@ def assemble(spec: QubitEnsembleSpec) -> DensityOperator:
 
 
 def assemble_general(ensemble: Ensemble) -> DensityOperator:
-    """Weighted average of an arbitrary ensemble's operators."""
-    return mix((c.weight, c.operator()) for c in ensemble.components)
+    """Weighted average of an ensemble's operators, summed unchecked: the ensemble checked its parts."""
+    return DensityOperator(_mix((c.weight, c.operator()) for c in ensemble.components))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,17 +209,19 @@ class MixedPureSplit:
         """Total weight carried by the pure components."""
         return float(sum(pw for pw, _ in self.pures))
 
+    def _matrix(self) -> np.ndarray:
+        pures = ((pw, ps.projector()) for pw, ps in self.pures)
+        return _mix(((self.mixed_weight, np.diag(self.mixed_diagonal)), *pures))
+
     def reconstruct(self) -> DensityOperator:
-        """Reassemble the split through the generic mixing path."""
-        parts: list[tuple[float, DensityOperator]] = [
-            (self.mixed_weight, DensityOperator(np.diag(self.mixed_diagonal).astype(np.complex128)))
-        ]
-        parts.extend((pw, outer_product(ps)) for pw, ps in self.pures)
-        return mix(parts)
+        """The operator the split sums to, as a validated DensityOperator."""
+        return DensityOperator(self._matrix())
 
     def residual(self, op: DensityOperator) -> float:
-        """Largest entrywise gap between the reassembled split and `op`."""
-        return float(np.max(np.abs(self.reconstruct().matrix - op.matrix)))
+        """Largest entrywise gap between the split's sum and `op`, of the same dimension."""
+        if op.dim != self.dim:
+            raise DimensionMismatch(f"dim-{self.dim} split against a dim-{op.dim} operator")
+        return float(np.max(np.abs(self._matrix() - op.matrix)))
 
 
 def _require_qubit(op: DensityOperator) -> None:

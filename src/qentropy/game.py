@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoRootFound, TooManyRoots, ValidationError
-from .linalg import DensityOperator, PureState, check_grid_size, mix, outer_product
+from .linalg import DensityOperator, PureState, _mix, check_grid_size
 from .entropy import _entropy_bits, von_neumann
 
 
@@ -64,14 +64,10 @@ def sender_state(lam: float) -> DensityOperator:
 
 
 def receiver_state(config: GameConfig) -> DensityOperator:
-    """Sender state after the injection: (1-q) rho_A + q |inj><inj|."""
-    q = config.injection_weight
-    return mix(
-        (
-            (1.0 - q, sender_state(config.lam)),
-            (q, outer_product(config.injected_state())),
-        )
-    )
+    """Sender state after the injection: (1-q) rho_A + q |inj><inj|, summed unchecked."""
+    q, lam = config.injection_weight, config.lam
+    sender = np.diag([lam, 1.0 - lam])
+    return DensityOperator(_mix(((1.0 - q, sender), (q, config.injected_state().projector()))))
 
 
 def _default_game(lam):
@@ -101,8 +97,6 @@ class ThresholdSolution:
 
     lower_root: float
     upper_root: float
-    tolerance: float
-    grid_step: float
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
@@ -167,8 +161,7 @@ def threshold_roots(tol: float = 1e-9, grid_step: float = 1e-3) -> ThresholdSolu
         # Bisection steps go through entropy_gain so that traces count them.
         return _default_game(lam)[2] if np.ndim(lam) else entropy_gain(GameConfig(lam))
 
-    lower, upper = _bracket_roots(gain, tol, grid_step, expected=2)
-    return ThresholdSolution(lower_root=lower, upper_root=upper, tolerance=tol, grid_step=grid_step)
+    return ThresholdSolution(*_bracket_roots(gain, tol, grid_step, expected=2))
 
 
 def sweep_game(lambdas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,13 +1,13 @@
 """Validated state containers and Hermitian linear algebra.
 
 Density operators and pure states are frozen dataclasses that validate on
-construction and expose read-only arrays; ``check_weights`` is the one check
-for mixture weights. Each invariant is checked once, where the value is
-built, and code downstream trusts it. LAPACK is the one eigensolver: each
-operator's spectrum comes from ``numpy.linalg.eigvalsh`` when it is built, and
-``eig_hermitian`` takes eigenvectors from ``numpy.linalg.eigh``. The tests
-check both, and the 2x2 closed form, against an independent cyclic Jacobi
-routine of their own.
+construction and expose read-only arrays. Each invariant is checked once,
+where the value is built, and code downstream trusts it: ``check_weights``
+is the one check for mixture weights, and ``mix`` the checked route to
+``_mix``, which sums parts already validated. LAPACK is the one eigensolver:
+``numpy.linalg.eigvalsh`` gives each operator's spectrum when it is built,
+``numpy.linalg.eigh`` the eigenvectors of ``eig_hermitian``. The tests check
+both, and the 2x2 closed form, against a cyclic Jacobi routine of their own.
 """
 
 from __future__ import annotations
@@ -101,6 +101,11 @@ class PureState:
     def probabilities(self) -> np.ndarray:
         """Squared amplitude magnitudes in the reference basis."""
         return np.abs(self.amplitudes) ** 2
+
+    def projector(self) -> np.ndarray:
+        """Raw |state><state|, Hermitian part taken as a DensityOperator stores it."""
+        m = np.outer(self.amplitudes, self.amplitudes.conj())
+        return 0.5 * (m + m.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,12 +210,17 @@ def make_density(matrix) -> DensityOperator:
 
 def outer_product(state: PureState) -> DensityOperator:
     """Rank-one projector |state><state|."""
-    amps = state.amplitudes
-    return DensityOperator(np.outer(amps, amps.conj()))
+    return DensityOperator(state.projector())
+
+
+def _mix(pairs) -> np.ndarray:
+    """Unchecked sum of validated (weight, matrix) pairs, in order, as a DensityOperator stores it."""
+    acc = sum(float(w) * m for w, m in pairs)
+    return 0.5 * (acc + acc.conj().T)
 
 
 def mix(components) -> DensityOperator:
-    """Convex combination of density operators.
+    """Convex combination of density operators: the checked route to ``_mix``.
 
     `components` is an iterable of (weight, DensityOperator) pairs. The
     weights go through ``check_weights``: entries down to -1e-9 count as 0,
@@ -219,12 +229,10 @@ def mix(components) -> DensityOperator:
     pairs = list(components)
     weights = check_weights([w for w, _ in pairs], "mixture weights")
     dim = pairs[0][1].dim
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for w, (_, op) in zip(weights, pairs):
+    for _, op in pairs:
         if op.dim != dim:
             raise DimensionMismatch(f"component dims differ: {op.dim} vs {dim}")
-        acc += float(w) * op.matrix
-    return DensityOperator(acc)
+    return DensityOperator(_mix(zip(weights, (op.matrix for _, op in pairs))))
 
 
 def eig2_closed_form(op: DensityOperator) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qentropy as q
-from qentropy import cli
+from qentropy import cli, ensembles, entropy, game, inputs, linalg
 from qentropy.entropy import RECONSTRUCTION_TOL
 from qentropy.inputs import KINDS
 from qentropy.linalg import MAX_GRID_POINTS
@@ -289,8 +289,12 @@ class TestSweepCommand:
             (("sweep", "--figure", "3", "--step", "0.1"), ("sweep", "--figure", "3", "--step", "0.01")),
             (("sweep", "--figure", "5", "--step", "0.1"), ("sweep", "--figure", "5", "--step", "0.001")),
             (("threshold", "--step", "0.01"), ("threshold", "--step", "0.0005")),
+            (
+                ("decompose", "--input", str(INPUTS / "mixed_qubit.json"), "--count", "5"),
+                ("decompose", "--input", str(INPUTS / "mixed_qubit.json"), "--count", "50"),
+            ),
         ],
-        ids=["table1", "figure-2", "figure-3", "figure-5", "threshold"],
+        ids=["table1", "figure-2", "figure-3", "figure-5", "threshold", "decompose"],
     )
     def test_validated_objects_do_not_grow_with_the_grid(self, capsys, monkeypatch, coarse, fine):
         counts = {}
@@ -356,6 +360,37 @@ class TestThresholdCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: ConvergenceFailure: ")
         assert "Traceback" not in err
+
+
+def test_input_is_validated_once(capsys, monkeypatch):
+    # A one-state entropy request builds only the operator it reads; holevo checks the ensemble's weights once.
+    built = []
+    original_post_init = q.DensityOperator.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        original_post_init(self)
+
+    monkeypatch.setattr(q.DensityOperator, "__post_init__", counting_post_init)
+    for name in ("asymmetric_qubit", "mixed_qubit", "three_preparation"):
+        built.clear()
+        assert run(capsys, "entropy", "--input", str(INPUTS / f"{name}.json"))[0] == 0
+        assert len(built) == 1, name
+
+    checks = []
+    original_check = linalg.check_weights
+
+    def counting_check(*args, **kwargs):
+        checks.append(args)
+        return original_check(*args, **kwargs)
+
+    for module in (linalg, ensembles, entropy, game, inputs, cli):
+        if getattr(module, "check_weights", None) is original_check:
+            monkeypatch.setattr(module, "check_weights", counting_check)
+    for name in ("mixed_pure_ensemble", "orthogonal_ensemble"):
+        checks.clear()
+        assert run(capsys, "holevo", "--input", str(INPUTS / f"{name}.json"))[0] == 0
+        assert len(checks) == 1, name
 
 
 class TestHolevoCommand:

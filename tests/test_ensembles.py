@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qentropy as q
+from qentropy import ensembles, entropy, game, linalg
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_pure_amplitudes
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 # Off-diagonal qubit admitting two well-known decompositions at p2 = 0.3
 # and p2 = 0.4.
@@ -21,6 +25,18 @@ DOUBLE = np.array([[0.592, 0.144], [0.144, 0.408]])
 def plus_state() -> q.PureState:
     amp = math.sqrt(0.5)
     return q.PureState(np.array([amp, amp]))
+
+
+def checked_projector(state: q.PureState) -> q.DensityOperator:
+    """|state><state| the checked way: a raw np.outer validated into a DensityOperator."""
+    return q.make_density(np.outer(state.amplitudes, state.amplitudes.conj()))
+
+
+def mix_route(split: q.MixedPureSplit) -> np.ndarray:
+    """The split summed through ``mix`` over DensityOperators: the oracle for its kernel sum."""
+    parts = [(split.mixed_weight, q.make_density(np.diag(split.mixed_diagonal)))]
+    parts.extend((pw, checked_projector(ps)) for pw, ps in split.pures)
+    return q.mix(parts).matrix
 
 
 class TestQubitEnsembleSpec:
@@ -73,13 +89,13 @@ class TestEnsemble:
     def test_component_operator_projects_pure(self):
         comp = q.EnsembleComponent(1.0, q.PureState(np.array([0.8, 0.6])))
         assert comp.is_pure
-        assert comp.operator().x == pytest.approx(0.64)
+        assert comp.operator()[0, 0].real == pytest.approx(0.64)
 
     def test_component_keeps_density(self):
         op = q.make_density(np.eye(2) / 2.0)
         comp = q.EnsembleComponent(1.0, op)
         assert not comp.is_pure
-        assert comp.operator() is op
+        assert comp.operator() is op.matrix
 
     def test_component_rejects_weight(self):
         # A component alone accepts any weight; the Ensemble's one weight check rejects it.
@@ -135,9 +151,24 @@ class TestEnsemble:
         avg = q.assemble_general(ensemble)
         assert np.max(np.abs(avg.matrix - np.array([[0.7, 0.2], [0.2, 0.3]]))) < 1e-12
 
+    def test_assemble_general_equals_the_mix_route_bit_for_bit(self, rng):
+        for _ in range(300):
+            dim = int(rng.integers(1, 9))
+            states = [
+                q.PureState(random_pure_amplitudes(rng, dim)) if rng.uniform() < 0.5
+                else q.make_density(random_density_matrix(rng, dim))
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            weights = rng.dirichlet(np.ones(len(states)))
+            ensemble = q.Ensemble(tuple(q.EnsembleComponent(float(w), s) for w, s in zip(weights, states)))
+            oracle = q.mix(
+                (c.weight, checked_projector(c.state) if c.is_pure else c.state) for c in ensemble.components
+            )
+            assert np.array_equal(q.assemble_general(ensemble).matrix, oracle.matrix)
+
 
 class TestMixedPureSplit:
-    def test_reconstruct_goes_through_mix(self):
+    def test_reconstruct_sums_the_parts(self):
         split = q.MixedPureSplit(0.6, np.array([5.0 / 6.0, 1.0 / 6.0]), ((0.4, plus_state()),))
         recon = split.reconstruct()
         assert np.max(np.abs(recon.matrix - np.array([[0.7, 0.2], [0.2, 0.3]]))) < 1e-12
@@ -163,6 +194,46 @@ class TestMixedPureSplit:
         split = q.MixedPureSplit(0.0, np.array([0.5, 0.5]), ((1.0, plus_state()),))
         assert split.mixed_weight == 0.0
         assert np.max(np.abs(split.reconstruct().matrix - 0.5 * np.ones((2, 2)))) < 1e-12
+
+    def test_residual_rejects_another_dimension(self):
+        qubit = q.make_density(DOUBLE)
+        # Numpy would fail to broadcast 2x2 against 4x4, and broadcast 1x1 against 2x2 silently.
+        with pytest.raises(q.DimensionMismatch, match="dim-2 split against a dim-4 operator"):
+            q.split_family(qubit, 0.3).residual(q.make_density(np.eye(4) / 4.0))
+        with pytest.raises(q.DimensionMismatch, match="dim-1 split against a dim-2 operator"):
+            q.report(qubit, q.MixedPureSplit(1.0, np.array([1.0]), ()))
+
+    def test_residual_and_reconstruct_equal_the_mix_route_bit_for_bit(self, rng):
+        committed = [q.load_document(str(path)).payload for path in sorted(INPUTS.glob("*.json"))]
+        ops = [op for op in committed if isinstance(op, q.DensityOperator) and op.dim == 2]
+        ops += [q.make_density(random_density_matrix(rng, 2)) for _ in range(60)]
+        ops += [q.make_density(np.real(random_density_matrix(rng, 2))) for _ in range(20)]
+        assert len(ops) > 80
+        for op in ops:
+            for split in q.enumerate_splits(op, 40):
+                oracle = mix_route(split)
+                assert split.residual(op) == float(np.max(np.abs(oracle - op.matrix)))
+                assert np.array_equal(split.reconstruct().matrix, oracle)
+
+
+def test_validated_parts_skip_the_checked_route(monkeypatch):
+    # report, residual, assemble_general and receiver_state sum parts their types
+    # already checked, so none of them may call mix, outer_product or reconstruct.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("checked mixing route used on validated parts")
+
+    for module in (linalg, ensembles, entropy, game):
+        for name in ("mix", "outer_product"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(q.MixedPureSplit, "reconstruct", forbidden)
+    op = q.make_density(DOUBLE)
+    split = q.split_family(op, 0.3)
+    assert split.residual(op) < 1e-12
+    assert q.report(op, split).s_ci is not None
+    mixed = q.Ensemble((q.EnsembleComponent(0.6, op), q.EnsembleComponent(0.4, plus_state())))
+    assert q.assemble_general(mixed).dim == 2
+    assert q.receiver_state(q.GameConfig(0.3, 0.4, plus_state())).dim == 2
 
 
 class TestSplitFamily:

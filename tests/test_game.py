@@ -11,6 +11,8 @@ import qentropy as q
 from qentropy.entropy import _entropy_bits
 from qentropy.game import _bisect, _bracket_roots
 
+from conftest import random_pure_amplitudes
+
 # Zero crossings of the default strategy's gain solve 5t^2 - 5t + 1 = 0;
 # derived by comparing the receiver and sender eigenvalue distances from
 # 1/2: sqrt(lam(1-lam)) < 1-2*lam on (0, 1/2) iff 5*lam^2 - 5*lam + 1 > 0.
@@ -60,6 +62,16 @@ class TestReceiverState:
         config = q.GameConfig(0.0, injection_weight=1.0, injected=q.PureState(np.array([0.6, 0.8])))
         op = q.receiver_state(config)
         assert op.x == pytest.approx(0.36, abs=1e-12)
+
+    def test_equals_the_mix_route_bit_for_bit(self, rng):
+        for k in range(3000):
+            lam, weight = (float(v) for v in rng.uniform(size=2))
+            # Every third injection keeps real amplitudes; the rest carry a phase.
+            amps = random_pure_amplitudes(rng, 2)
+            injected = q.PureState(np.abs(amps) if k % 3 == 0 else amps)
+            config = q.GameConfig(lam, weight, injected)
+            oracle = q.mix(((1.0 - weight, q.sender_state(lam)), (weight, q.outer_product(injected))))
+            assert np.array_equal(q.receiver_state(config).matrix, oracle.matrix)
 
     def test_config_rejects_bad_injected(self):
         with pytest.raises(q.ValidationError):
