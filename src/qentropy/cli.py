@@ -2,13 +2,15 @@
 
 Reports go to stdout, diagnostics to stderr. Real numbers are printed with
 six significant digits, so equal inputs always produce byte-identical
-output. Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+output. Exit codes: 0 success, 2 validation failure, 3 numerical failure; a
+reader that closes stdout early (``| head``) ends the run with 0 as well.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -54,15 +56,24 @@ def _fmt_matrix(matrix: np.ndarray) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
+def _column_cells(column: np.ndarray) -> list[str]:
+    # The column's CSV cells. _fmt runs once per distinct float64 bit pattern, not value:
+    # -0.0 == 0.0 but they print as "-0" and "0", and NaN is unequal to itself.
+    if column.dtype == bool:
+        return np.where(column, "true", "false").tolist()
+    patterns, inverse = np.unique(
+        np.ascontiguousarray(column, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    texts = np.array([_fmt(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def _print_columns(header: list[str], columns) -> None:
-    # One CSV line per entry of the array columns, each formatted whole from .tolist().
-    cells = [
-        ["true" if v else "false" for v in c.tolist()] if c.dtype == bool else [_fmt(v) for v in c.tolist()]
-        for c in columns
-    ]
-    print(",".join(header))
-    for row in zip(*cells):
-        print(",".join(row))
+    # One CSV line per entry of the array columns, each float formatted once per distinct bit
+    # pattern; header and rows go out in one write to the sys.stdout of the moment, so
+    # redirect_stdout captures them.
+    rows = map(",".join, zip(*map(_column_cells, columns)))
+    sys.stdout.write("\n".join([",".join(header), *rows]) + "\n")
 
 
 def _document_operator(doc: InputDocument) -> DensityOperator:
@@ -312,6 +323,11 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader left early (`| head`): that is success. Point stdout at devnull so the
+        # interpreter's final flush of what is still buffered does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

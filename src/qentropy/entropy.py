@@ -22,7 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, SplitMismatch, ValidationError
-from .linalg import TRACE_TOL, WEIGHT_TOL, DensityOperator, PureState, check_grid_size, check_weights
+from .linalg import (
+    TRACE_TOL,
+    WEIGHT_TOL,
+    DensityOperator,
+    PureState,
+    _lapack,
+    check_grid_size,
+    check_weights,
+)
 from .ensembles import Ensemble, MixedPureSplit, assemble_general
 
 RECONSTRUCTION_TOL = 1e-8
@@ -53,7 +61,7 @@ def _qubit_von_neumann(x: np.ndarray, y: np.ndarray, a: np.ndarray) -> np.ndarra
     ops = np.empty((a.size, 2, 2), dtype=np.complex128)
     ops[:, 0, 0], ops[:, 1, 1] = x, y
     ops[:, 0, 1] = ops[:, 1, 0] = a
-    return _entropy_bits(np.linalg.eigvalsh(ops))
+    return _entropy_bits(_lapack(np.linalg.eigvalsh, ops))
 
 
 def shannon(probabilities) -> float:
@@ -82,9 +90,10 @@ def pure_entropy(state: PureState) -> float:
     return _entropy_bits(state.probabilities())
 
 
-def _pure_share(split: MixedPureSplit) -> float:
-    # The pure components' part of the composite entropy: sum of w_i S_p(psi_i).
-    return sum(weight * pure_entropy(state) for weight, state in split.pures) + 0.0
+def _composite_terms(split: MixedPureSplit) -> tuple[float, float]:
+    # The composite entropy's two terms: the mixed part's, and the pure share sum of w_i S_p(psi_i).
+    pure_share = sum(weight * pure_entropy(state) for weight, state in split.pures) + 0.0
+    return split.mixed_weight * _entropy_bits(split.mixed_diagonal), pure_share
 
 
 def composite(split: MixedPureSplit) -> float:
@@ -94,7 +103,8 @@ def composite(split: MixedPureSplit) -> float:
     diagonal; each pure component its weight times its superposition
     entropy.
     """
-    return split.mixed_weight * _entropy_bits(split.mixed_diagonal) + _pure_share(split)
+    mixed, pure_share = _composite_terms(split)
+    return mixed + pure_share
 
 
 def composite_closed_form(x: float, y: float, a: float) -> float:
@@ -151,8 +161,8 @@ def report(op: DensityOperator, split: MixedPureSplit | None = None) -> EntropyR
             raise SplitMismatch(
                 f"split reconstructs a different operator, max residual {residual:.3e}"
             )
-        s_ci = composite(split)
-        pure_share = _pure_share(split)
+        mixed, pure_share = _composite_terms(split)
+        s_ci = mixed + pure_share
     return EntropyReport(
         s_n=von_neumann(op), s_i=informational(op), s_ci=s_ci, pure_share=pure_share
     )

@@ -243,7 +243,10 @@ def eig2_closed_form(op: DensityOperator) -> tuple[float, float]:
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
+    # Frobenius norm of the off-diagonal entries of a matrix, or of a whole stack of them.
+    off = a.copy()
+    diagonal = np.arange(a.shape[-1])
+    off[..., diagonal, diagonal] = 0.0
     return float(np.linalg.norm(off))
 
 

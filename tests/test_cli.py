@@ -5,6 +5,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -349,17 +352,42 @@ class TestThresholdCommand:
         assert code == 3
         assert "NoRootFound" in err
 
-    def test_eigensolver_failure_maps_to_3(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("entropy", "--input", str(INPUTS / "mixed_qubit.json")),
+            # the stacked qubit solve
+            ("theorem-scan",),
+            ("table1",),
+            ("sweep", "--figure", "2"),
+        ],
+        ids=["entropy", "theorem-scan", "table1", "sweep-figure-2"],
+    )
+    def test_eigensolver_failure_maps_to_3(self, capsys, monkeypatch, argv):
         def boom(matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", boom)
-        code, out, err = run(capsys, "entropy", "--input", str(INPUTS / "mixed_qubit.json"))
+        code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: ConvergenceFailure: ")
         assert "Traceback" not in err
+
+
+def test_report_computes_the_pure_share_once(capsys, monkeypatch):
+    calls = []
+    original = entropy.pure_entropy
+
+    def counting(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(entropy, "pure_entropy", counting)
+    code, out, _ = run(capsys, "entropy", "--input", str(INPUTS / "mixed_qubit.json"))
+    assert code == 0 and "pure_share = " in out
+    assert len(calls) == 1
 
 
 def test_input_is_validated_once(capsys, monkeypatch):
@@ -429,6 +457,94 @@ class TestTheoremScanCommand:
         _, out, _ = run(capsys, "theorem-scan", "--step", "0.5", "--u2-step", "1")
         flags = {cell for row in csv_rows(out)[1:] for cell in row[7:]}
         assert flags <= {"true", "false"}
+
+
+def _print_columns_reference(header, columns) -> str:
+    # The cell-by-cell route: _fmt on every float, one print per line.
+    out = io.StringIO()
+    cells = [
+        [("true" if v else "false") if c.dtype == bool else cli._fmt(v) for v in c.tolist()]
+        for c in columns
+    ]
+    with redirect_stdout(out):
+        print(",".join(header))
+        for row in zip(*cells):
+            print(",".join(row))
+    return out.getvalue()
+
+
+# Few distinct values, so columns repeat them, with both zeros, NaN, the infinities and subnormals.
+_CELL_POOLS = st.lists(
+    st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]),
+    min_size=1, max_size=5,
+)
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool))
+        else:
+            pool = draw(_CELL_POOLS)
+            picks = draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
+            columns.append(np.array(picks, dtype=np.float64))
+    return [f"c{k}" for k in range(len(columns))], columns
+
+
+class TestPrintColumns:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(table=_tables())
+    @example(table=(["x", "flag"], [np.array([0.0, -0.0, math.nan, -math.nan, 0.0]), np.zeros(5, dtype=bool)]))
+    @example(table=(["x", "flag"], [np.array([]), np.array([], dtype=bool)]))
+    def test_equals_the_per_cell_route(self, table):
+        header, columns = table
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli._print_columns(header, columns)
+        assert out.getvalue() == _print_columns_reference(header, columns)
+
+    def test_theorem_scan_formats_each_distinct_float_once(self, capsys, monkeypatch):
+        calls = []
+        original = cli._fmt
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(cli, "_fmt", counting)
+        assert run(capsys, "theorem-scan")[0] == 0
+        scan = q.ordering_scan()
+        floats = (scan.p0, scan.p1, scan.p2, scan.u_squared, scan.s_n, scan.s_ci, scan.s_i)
+        assert len(calls) == sum(np.unique(c.view(np.int64)).size for c in floats) == 1992
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one write of ~3.8 MB, far past the pipe buffer
+        ("theorem-scan", "--step", "0.02", "--u2-step", "0.02"),
+        # ~180 kB over many prints, so a later print meets the closed pipe
+        ("decompose", "--input", str(INPUTS / "mixed_qubit.json"), "--count", "1000"),
+    ],
+    ids=["theorem-scan", "decompose"],
+)
+def test_closed_pipe_exits_0_without_traceback(argv):
+    # As in `qentropy theorem-scan | head -1`: the reader takes one line and closes the pipe.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qentropy.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert first
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestArgumentErrors:
