@@ -2,25 +2,26 @@
 
 Reports go to stdout, diagnostics to stderr. Real numbers are printed with
 six significant digits, so equal inputs always produce byte-identical
-output. Exit codes: 0 success, 2 validation failure, 3 numerical failure; a
-reader that closes stdout early (``| head``) ends the run with 0 as well.
+output. Exit codes: 0 success, 2 validation failure, 3 numerical or output
+failure; a reader that closes stdout early (``| head``) ends the run with 0 as
+well.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
 from .errors import NoValidSplit, NumericalError, ValidationError
-from .linalg import DensityOperator, PureState, check_grid_size, outer_product
+from .linalg import DensityOperator, check_grid_size, outer_product
 from .ensembles import (
+    _family,
+    _sampled_family,
     assemble,
     assemble_general,
-    enumerate_splits,
     split_family,
     symmetric_split,
 )
@@ -28,7 +29,6 @@ from .entropy import (
     _closed_form_bits,
     _entropy_bits,
     _qubit_von_neumann,
-    composite,
     grid,
     holevo_quantity,
     ordering_scan,
@@ -43,24 +43,21 @@ def _fmt(value: float) -> str:
     return f"{float(value):.6g}"
 
 
-def _fmt_complex(value: complex) -> str:
-    z = complex(value)
-    if z.imag == 0.0:
-        return _fmt(z.real)
-    sign = "+" if z.imag >= 0.0 else "-"
-    return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}j"
-
-
 def _fmt_matrix(matrix: np.ndarray) -> str:
-    rows = ["[" + ", ".join(_fmt_complex(v) for v in row) + "]" for row in matrix]
-    return "[" + ", ".join(rows) + "]"
+    cells, d = _column_cells(matrix.ravel()), matrix.shape[1]
+    return "[" + ", ".join("[" + ", ".join(cells[k:k + d]) + "]" for k in range(0, len(cells), d)) + "]"
 
 
 def _column_cells(column: np.ndarray) -> list[str]:
-    # The column's CSV cells. _fmt runs once per distinct float64 bit pattern, not value:
+    # The column's cells. _fmt runs once per distinct float64 bit pattern, not value:
     # -0.0 == 0.0 but they print as "-0" and "0", and NaN is unequal to itself.
     if column.dtype == bool:
         return np.where(column, "true", "false").tolist()
+    if np.iscomplexobj(column):  # the real part alone where the imaginary part is zero
+        imag = column.imag
+        signs, is_real = np.where(imag > 0.0, "+", "-").tolist(), (imag == 0.0).tolist()
+        parts = zip(_column_cells(column.real), is_real, signs, _column_cells(abs(imag)))
+        return [re if real else f"{re}{sign}{im}j" for re, real, sign, im in parts]
     patterns, inverse = np.unique(
         np.ascontiguousarray(column, dtype=np.float64).view(np.int64), return_inverse=True
     )
@@ -134,61 +131,40 @@ def cmd_decompose(args) -> int:
     if doc.kind != "density":
         raise ValidationError(f"decompose needs a density document, got {doc.kind!r}")
     op = doc.payload
-    splits = enumerate_splits(op, args.count)
-    if not splits:
+    family = _sampled_family(op, args.count)
+    if not family.pure_weight.size:
         print("no valid splits in the sampled range", file=sys.stderr)
         return 0
-
+    columns = (family.pure_weight, family.mixed_weight, family.diag[:, 0], family.diag[:, 1], family.amps[:, 0],
+               family.amps[:, 1], family.residual(op.matrix), family.s_ci)
+    rows = zip(range(1, family.s_ci.size + 1), (family.pure_weight > 0.0).tolist(), *map(_column_cells, columns))
     if args.csv:
-        print(",".join(
-            ["index", "pure_weight", "mixed_weight", "mixed_d0", "mixed_d1",
-             "amp0", "amp1", "residual", "s_ci"]
-        ))
-        for idx, split in enumerate(splits, start=1):
-            if split.pures:
-                weight, state = split.pures[0]
-                amp0 = _fmt_complex(state.amplitudes[0])
-                amp1 = _fmt_complex(state.amplitudes[1])
-            else:
-                amp0 = amp1 = ""
-            print(",".join([
-                str(idx),
-                _fmt(split.pure_weight),
-                _fmt(split.mixed_weight),
-                _fmt(split.mixed_diagonal[0]),
-                _fmt(split.mixed_diagonal[1]),
-                amp0,
-                amp1,
-                _fmt(split.residual(op)),
-                _fmt(composite(split)),
-            ]))
-        return 0
-    print(f"matrix = {_fmt_matrix(op.matrix)}")
-    for idx, split in enumerate(splits, start=1):
-        print(f"split {idx}:")
-        print(f"  mixed_weight = {_fmt(split.mixed_weight)}")
-        d0, d1 = split.mixed_diagonal
-        print(f"  mixed_diagonal = ({_fmt(d0)}, {_fmt(d1)})")
-        if split.pures:
-            for weight, state in split.pures:
-                a0 = _fmt_complex(state.amplitudes[0])
-                a1 = _fmt_complex(state.amplitudes[1])
-                print(f"  pure: weight = {_fmt(weight)}, amplitudes = ({a0}, {a1})")
-        else:
-            print("  pure: none")
-        print(f"  residual = {_fmt(split.residual(op))}")
-        print(f"  s_ci = {_fmt(composite(split))}")
+        lines = (
+            f"{k},{w},{m},{d0},{d1},{a0 if pure else ''},{a1 if pure else ''},{r},{s}\n"
+            for k, pure, w, m, d0, d1, a0, a1, r, s in rows
+        )
+        header = "index,pure_weight,mixed_weight,mixed_d0,mixed_d1,amp0,amp1,residual,s_ci"
+    else:
+        lines = (
+            f"split {k}:\n  mixed_weight = {m}\n  mixed_diagonal = ({d0}, {d1})\n  "
+            + (f"pure: weight = {w}, amplitudes = ({a0}, {a1})" if pure else "pure: none")
+            + f"\n  residual = {r}\n  s_ci = {s}\n"
+            for k, pure, w, m, d0, d1, a0, a1, r, s in rows
+        )
+        header = f"matrix = {_fmt_matrix(op.matrix)}"
+    sys.stdout.write(header + "\n")
+    sys.stdout.writelines(lines)  # row by row, so the whole report is never one string in memory
     return 0
 
 
 def _balanced_family(step: float) -> tuple[np.ndarray, ...]:
-    # Columns of [[1/2, a], [a, 1/2]] and its split 2a |+><+| + (1 - 2a) I/2, which unlike
-    # symmetric_split is valid at a = 1/2; the split's mixed diagonal is the operator's.
+    # Columns of [[1/2, a], [a, 1/2]] and its split 2a |+><+| + (1 - 2a) I/2: the family at
+    # p2 = 2a, which unlike symmetric_split is valid at a = 1/2.
     a = grid(0.5, step)
     s_n = _qubit_von_neumann(0.5, 0.5, a)
     s_i = _entropy_bits(np.full((a.size, 2), 0.5))
-    pure_share = 2.0 * a * pure_entropy(PureState(np.full(2, math.sqrt(0.5))))
-    return a, s_n, s_i, (1.0 - 2.0 * a) * s_i + pure_share, pure_share
+    family = _family(0.5, 0.5, a, 1.0, 2.0 * a, mirror=False)
+    return a, s_n, s_i, family.s_ci, family.pure_share
 
 
 def cmd_table1(args) -> int:
@@ -316,18 +292,18 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return args.func(args)
-    except ValidationError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a write that fails fails here, not in the interpreter's final flush
+        return code
+    except (ValidationError, NumericalError, OSError) as exc:
+        if isinstance(exc, OSError):
+            # A failed write to stdout (load_document maps read errors to ValidationError). Point
+            # stdout at devnull so the interpreter's final flush of what is buffered cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return 0  # the reader left early (`| head`): that is success
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except BrokenPipeError:
-        # The reader left early (`| head`): that is success. Point stdout at devnull so the
-        # interpreter's final flush of what is still buffered does not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        return 2 if isinstance(exc, ValidationError) else 3
 
 
 if __name__ == "__main__":

@@ -2,16 +2,18 @@
 
 An ensemble is a weighted list of preparations (pure or already-mixed). The
 decomposition side goes the other way: given a qubit density operator, write
-it as a diagonal mixed part plus pure components. For a real nonnegative
-off-diagonal the one-parameter family is indexed by the pure weight p2;
-complex or negative off-diagonals are handled by peeling the phase off,
-splitting in the canonical frame, and rotating the pure components back.
+it as a diagonal mixed part plus pure components. The one-pure family, indexed
+by the pure weight p2, is one unchecked column kernel, ``_family``, that
+solves the real problem for |a| and puts the off-diagonal's phase on the pure
+amplitudes. ``split_family``, ``symmetric_split`` and ``enumerate_splits`` are
+views of its rows; ``decompose`` and the balanced family read its columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,58 +226,90 @@ class MixedPureSplit:
         return float(np.max(np.abs(self._matrix() - op.matrix)))
 
 
-def _require_qubit(op: DensityOperator) -> None:
+def _offdiag_polar(op: DensityOperator) -> tuple[float, complex]:
+    """Magnitude of a qubit's upper off-diagonal and its unit phase factor."""
     if op.dim != 2:
         raise DimensionMismatch(f"splits are defined for qubits, got dim {op.dim}")
+    r = abs(op.a)
+    return r, op.a / r if r > 0.0 else complex(1.0)
 
 
-def _offdiag_polar(op: DensityOperator) -> tuple[float, complex]:
-    """Magnitude of the upper off-diagonal and its unit phase factor."""
-    a = op.a
-    r = abs(a)
-    phase = a / r if r > 0.0 else complex(1.0)
-    return r, phase
+class _Family(NamedTuple):
+    """One-pure family members as columns, one row each; ``_family`` builds them.
 
-
-def _all_mixed(op: DensityOperator) -> MixedPureSplit:
-    diag = np.maximum(op.diagonal(), 0.0)
-    return MixedPureSplit(1.0, diag / diag.sum(), ())
-
-
-def _one_pure_split(
-    x: float, y: float, r: float, phase: complex, p2: float, heavy_index: int
-) -> MixedPureSplit:
-    """Family member with pure weight p2 and one superposed component.
-
-    Solves p2 u v = r with u^2 + v^2 = 1; `heavy_index` picks which basis
-    state carries the larger squared amplitude. Raises NoValidSplit when the
-    off-diagonal constraint has no real solution or the implied mixed
-    diagonal would go negative.
+    Rows ``too_light`` (p2 below 2|a|) or ``negative`` (a mixed diagonal
+    ``nums`` below 0 before clamping) admit no split. Pure weight 0: no pure
+    part. ``s_ci`` and its ``pure_share`` are summed as ``entropy.composite`` does.
     """
-    ratio = 2.0 * r / p2
-    if ratio > 1.0 + BOUND_SLACK:
-        raise NoValidSplit(
-            f"pure weight {p2:.6g} is below twice the off-diagonal magnitude {2.0 * r:.6g}"
-        )
-    disc = math.sqrt(max(0.0, 1.0 - ratio * ratio))
-    big = 0.5 * (1.0 + disc)
-    small = 0.5 * (1.0 - disc)
-    u2, v2 = (big, small) if heavy_index == 0 else (small, big)
-    num0 = x - p2 * u2
-    num1 = y - p2 * v2
-    if num0 < -WEIGHT_TOL or num1 < -WEIGHT_TOL:
-        raise NoValidSplit(
-            f"mixed diagonal would be negative: ({num0:.6g}, {num1:.6g}) at p2 = {p2:.6g}"
-        )
-    pure = PureState(np.array([math.sqrt(u2), math.sqrt(v2) * phase.conjugate()]))
-    mixed_weight = 1.0 - p2
-    clamped0 = max(num0, 0.0)
-    clamped1 = max(num1, 0.0)
-    total = clamped0 + clamped1
-    if mixed_weight < NEGLIGIBLE_OFFDIAG or total <= 0.0:
-        return MixedPureSplit(0.0, np.array([0.5, 0.5]), ((1.0, pure),))
-    diagonal = np.array([clamped0, clamped1]) / total
-    return MixedPureSplit(mixed_weight, diagonal, ((p2, pure),))
+
+    too_light: np.ndarray
+    negative: np.ndarray
+    nums: np.ndarray
+    mixed_weight: np.ndarray
+    diag: np.ndarray
+    pure_weight: np.ndarray
+    amps: np.ndarray
+    s_ci: np.ndarray
+    pure_share: np.ndarray
+
+    def split(self, k: int) -> MixedPureSplit:
+        """Row k as a validated split."""
+        pures = ((self.pure_weight[k], PureState(self.amps[k])),) if self.pure_weight[k] > 0.0 else ()
+        return MixedPureSplit(self.mixed_weight[k], self.diag[k], pures)
+
+    def residual(self, target: np.ndarray) -> np.ndarray:
+        """Each row's ``MixedPureSplit.residual`` against `target`, operation for operation."""
+        m = self.amps[:, :, None] * self.amps.conj()[:, None, :]
+        projector = 0.5 * (m + m.conj().swapaxes(1, 2))
+        diag = np.zeros(m.shape)
+        diag[:, (0, 1), (0, 1)] = self.diag
+        acc = 0 + self.mixed_weight[:, None, None] * diag + self.pure_weight[:, None, None] * projector
+        return np.max(np.abs(0.5 * (acc + acc.conj().swapaxes(1, 2)) - target), axis=(1, 2))
+
+
+def _family(x, y, r, phase: complex, p2, mirror: bool) -> _Family:
+    """Members of the family of [[x, r phase], [r phase*, y]] at pure weights p2, unchecked.
+
+    x, y, r and p2 broadcast to one column. Each row solves p2 u v = r with
+    u^2 + v^2 = 1, the larger u^2 on |0> (with `mirror`, on |1> where |0>
+    leaves a negative mixed diagonal). Rows with r <= NEGLIGIBLE_OFFDIAG are
+    all mixed; a mixed weight under it, or no mixed diagonal left, all pure.
+    """
+    x, y, r, p2 = np.broadcast_arrays(*np.atleast_1d(x, y, r, p2))
+    negligible = r <= NEGLIGIBLE_OFFDIAG
+    ratio = 2.0 * r / np.where(negligible, 1.0, p2)
+    p2 = np.where(negligible, 0.0, p2)[:, None]  # pure weight 0 leaves the mixed diagonal (x, y)
+    disc = np.sqrt(np.maximum(1.0 - ratio * ratio, 0.0))
+    squares = np.stack((0.5 * (1.0 + disc), 0.5 * (1.0 - disc)), axis=-1)
+    diagonal = np.stack((x, y), axis=-1)
+    if mirror:
+        swap = np.any(diagonal - p2 * squares < -WEIGHT_TOL, axis=-1)
+        squares = np.where(swap[:, None], squares[:, ::-1], squares)
+    nums = diagonal - p2 * squares
+    too_light, negative = ratio > 1.0 + BOUND_SLACK, np.any(nums < -WEIGHT_TOL, axis=-1) & ~negligible
+    # np.maximum, as check_weights clamps: a -0.0 numerator gives a 0.0 entry, never -0.0.
+    mixed = np.maximum(nums, 0.0)
+    full = (1.0 - p2[:, 0] < NEGLIGIBLE_OFFDIAG) | (mixed.sum(axis=-1) <= 0.0)
+    mixed[full] = 0.5
+    diag = mixed / mixed.sum(axis=-1, keepdims=True)
+    mixed_weight, pure_weight = np.where(full, 0.0, 1.0 - p2[:, 0]), np.where(full, 1.0, p2[:, 0])
+    # (s + 0j)(c + d j): CPython's float times complex, (s c - 0.0 d, s d + 0.0 c)
+    amps = np.sqrt(squares) * np.array([1.0, complex(phase).conjugate()])
+    from .entropy import _entropy_bits  # entropy imports this module
+    pure_share = pure_weight * _entropy_bits(np.abs(amps) ** 2) + 0.0
+    s_ci = mixed_weight * _entropy_bits(diag) + pure_share
+    return _Family(too_light, negative, nums, mixed_weight, diag, pure_weight, amps, s_ci, pure_share)
+
+
+def _one_split(op: DensityOperator, r: float, phase: complex, p2: float) -> MixedPureSplit:
+    """The family member with pure weight p2, heavy on |0>, or NoValidSplit saying why not."""
+    family = _family(op.x, op.y, r, phase, p2, mirror=False)
+    if family.too_light[0]:
+        raise NoValidSplit(f"pure weight {p2:.6g} is below twice the off-diagonal magnitude {2.0 * r:.6g}")
+    if family.negative[0]:
+        num0, num1 = family.nums[0]
+        raise NoValidSplit(f"mixed diagonal would be negative: ({num0:.6g}, {num1:.6g}) at p2 = {p2:.6g}")
+    return family.split(0)
 
 
 def split_family(op: DensityOperator, p2: float) -> MixedPureSplit:
@@ -286,15 +320,11 @@ def split_family(op: DensityOperator, p2: float) -> MixedPureSplit:
     degenerates to a basis state and is folded into the mixed part,
     regardless of p2.
     """
-    _require_qubit(op)
+    r, phase = _offdiag_polar(op)
     p2f = float(p2)
     if not math.isfinite(p2f) or p2f <= 0.0 or p2f > 1.0 + BOUND_SLACK:
         raise ValidationError(f"p2 must lie in (0, 1], got {p2!r}")
-    p2f = min(p2f, 1.0)
-    r, phase = _offdiag_polar(op)
-    if r <= NEGLIGIBLE_OFFDIAG:
-        return _all_mixed(op)
-    return _one_pure_split(op.x, op.y, r, phase, p2f, heavy_index=0)
+    return _one_split(op, r, phase, min(p2f, 1.0))
 
 
 def symmetric_split(op: DensityOperator) -> MixedPureSplit:
@@ -304,16 +334,13 @@ def symmetric_split(op: DensityOperator) -> MixedPureSplit:
     diagonal entries to exceed |a|; a vanishing off-diagonal yields the
     all-mixed split.
     """
-    _require_qubit(op)
     r, phase = _offdiag_polar(op)
-    if r <= NEGLIGIBLE_OFFDIAG:
-        return _all_mixed(op)
     x, y = op.x, op.y
-    if x <= r or y <= r:
+    if r > NEGLIGIBLE_OFFDIAG and (x <= r or y <= r):
         raise NoValidSplit(
             f"balanced split needs both diagonal entries above |a| = {r:.6g}, got ({x:.6g}, {y:.6g})"
         )
-    return _one_pure_split(x, y, r, phase, 2.0 * r, heavy_index=0)
+    return _one_split(op, r, phase, 2.0 * r)
 
 
 def pure_weight_bounds(op: DensityOperator) -> tuple[float, float]:
@@ -327,7 +354,6 @@ def pure_weight_bounds(op: DensityOperator) -> tuple[float, float]:
     diagonal entry d', weights under d' + |a|^2/d' admit no split on either
     branch, and enumerate_splits skips them.
     """
-    _require_qubit(op)
     r, _ = _offdiag_polar(op)
     if r <= NEGLIGIBLE_OFFDIAG:
         return 0.0, 0.0
@@ -337,35 +363,29 @@ def pure_weight_bounds(op: DensityOperator) -> tuple[float, float]:
     return lo, max(hi, lo)
 
 
-def enumerate_splits(op: DensityOperator, count: int) -> list[MixedPureSplit]:
-    """Sample `count` family members across the valid pure-weight interval.
-
-    The grid is linear over [p2_min, p2_max] with both endpoints included.
-    Each sample first tries the heavy-on-|0> branch, then the mirrored one;
-    samples admitting neither are dropped. Vanishing off-diagonals collapse
-    the whole family to the all-mixed split, repeated per sample. A count
-    above MAX_GRID_POINTS raises ValidationError.
-    """
-    _require_qubit(op)
+def _sampled_family(op: DensityOperator, count: int) -> _Family:
+    """The valid rows among `count` pure weights spread over ``pure_weight_bounds(op)``."""
+    r, phase = _offdiag_polar(op)
     n = int(count)
     if n < 1:
         raise ValidationError(f"count must be at least 1, got {count!r}")
     check_grid_size(n, f"count {count!r}")
-    r, phase = _offdiag_polar(op)
-    if r <= NEGLIGIBLE_OFFDIAG:
-        return [_all_mixed(op) for _ in range(n)]
     lo, hi = pure_weight_bounds(op)
-    if hi - lo < POINT_INTERVAL or n == 1:
-        grid = np.array([lo])
-    else:
-        grid = np.linspace(lo, hi, n)
-    x, y = op.x, op.y
-    splits: list[MixedPureSplit] = []
-    for p2 in grid:
-        for heavy_index in (0, 1):
-            try:
-                splits.append(_one_pure_split(x, y, r, phase, float(p2), heavy_index))
-            except NoValidSplit:
-                continue
-            break
-    return splits
+    # A vanishing off-diagonal repeats the all-mixed split per sample; a point interval is sampled once.
+    points = n if r <= NEGLIGIBLE_OFFDIAG or hi - lo >= POINT_INTERVAL else 1
+    family = _family(op.x, op.y, r, phase, np.linspace(lo, hi, points), mirror=True)
+    keep = ~(family.too_light | family.negative)
+    return family._make(c[keep] for c in family)
+
+
+def enumerate_splits(op: DensityOperator, count: int) -> list[MixedPureSplit]:
+    """Sample `count` family members across the valid pure-weight interval.
+
+    The grid is linear over [p2_min, p2_max] with both endpoints included.
+    Each sample takes the heavy-on-|0> branch, or else the mirrored one;
+    samples admitting neither are dropped. Vanishing off-diagonals collapse
+    the whole family to the all-mixed split, repeated per sample. A count
+    above MAX_GRID_POINTS raises ValidationError.
+    """
+    family = _sampled_family(op, count)
+    return [family.split(k) for k in range(family.pure_weight.size)]

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -31,3 +34,35 @@ MALFORMED_FILES = {
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260817)
+
+
+# Qubit densities at the edges of the one-pure family, as raw matrices.
+QUBIT_EDGE_CASES = {
+    "maximally-mixed": [[0.5, 0.0], [0.0, 0.5]],
+    "offdiag-just-below-negligible": [[0.6, math.nextafter(1e-12, 0.0)], [math.nextafter(1e-12, 0.0), 0.4]],
+    "offdiag-at-negligible": [[0.6, 1e-12], [1e-12, 0.4]],
+    "offdiag-just-above-negligible": [[0.6, math.nextafter(1e-12, 1.0)], [math.nextafter(1e-12, 1.0), 0.4]],
+    # rank 1: the top of the pure-weight range leaves mixed weight 0
+    "real-projector": [[0.64, 0.48], [0.48, 0.36]],
+    "complex-projector": [[0.36, -0.48j], [0.48j, 0.64]],
+    # |a| above the smaller diagonal entry: no split at p2 = 2|a|, the one point of --count 1
+    "no-split-at-lowest-weight": [[0.9, 0.2], [0.2, 0.1]],
+    # y = -0.0 through the JSON loader too (its im entry is -0.0): some mixed diagonals clamp to 0
+    "negative-zero-diagonal": [[1.0, 1e-9], [1e-9, complex(-0.0, -0.0)]],
+}
+
+
+@st.composite
+def qubit_density_matrices(draw) -> np.ndarray:
+    """Qubit densities from a Bloch vector: complex, real positive or real negative
+    off-diagonals, rank 2 inside the ball and rank 1 on its surface."""
+    theta = draw(st.floats(0.0, math.pi))
+    length = draw(st.sampled_from([1.0]) | st.floats(0.0, 1.0))
+    z, transverse = length * math.cos(theta), length * math.sin(theta)
+    kind = draw(st.sampled_from(["complex", "real-positive", "real-negative"]))
+    if kind == "complex":
+        phi = draw(st.floats(0.0, 2.0 * math.pi))
+        a = complex(0.5 * transverse * math.cos(phi), -0.5 * transverse * math.sin(phi))
+    else:
+        a = complex(0.5 * transverse if kind == "real-positive" else -0.5 * transverse, 0.0)
+    return np.array([[0.5 * (1.0 + z), a], [a.conjugate(), 0.5 * (1.0 - z)]])

@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 import qentropy as q
 from qentropy import cli, ensembles, entropy, game, inputs, linalg
 from qentropy.entropy import RECONSTRUCTION_TOL
-from qentropy.inputs import KINDS
+from qentropy.inputs import KINDS, load_document
 from qentropy.linalg import MAX_GRID_POINTS
 
-from conftest import MALFORMED_FILES
+import split_oracle
+from conftest import MALFORMED_FILES, QUBIT_EDGE_CASES, qubit_density_matrices
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -187,6 +188,32 @@ class TestDecomposeCommand:
         ]
         assert residuals and all(r < 1e-10 for r in residuals)
 
+    @staticmethod
+    def assert_stdout_equals_the_per_point_route(path):
+        op = load_document(str(path)).payload
+        for count in (1, 2, 5, 257):
+            for csv in ((), ("--csv",)):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main(["decompose", "--input", str(path), "--count", str(count), *csv])
+                expected = split_oracle.decompose_stdout(op, count, bool(csv))
+                assert (code, out.getvalue()) == (0, expected), (count, csv)
+                assert err.getvalue() == ("" if expected else "no valid splits in the sampled range\n")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(matrix=qubit_density_matrices())
+    def test_stdout_equals_the_per_point_route(self, tmp_path_factory, matrix):
+        path = tmp_path_factory.mktemp("decompose") / "doc.json"
+        path.write_text(json.dumps({"kind": "density", "re": matrix.real.tolist(), "im": matrix.imag.tolist()}))
+        self.assert_stdout_equals_the_per_point_route(path)
+
+    @pytest.mark.parametrize("name", sorted(QUBIT_EDGE_CASES))
+    def test_edge_case_stdout_equals_the_per_point_route(self, tmp_path, name):
+        matrix = np.array(QUBIT_EDGE_CASES[name], dtype=np.complex128)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"kind": "density", "re": matrix.real.tolist(), "im": matrix.imag.tolist()}))
+        self.assert_stdout_equals_the_per_point_route(path)
+
     def test_rejects_non_density(self, capsys):
         code, _, _ = run(capsys, "decompose", "--input", str(INPUTS / "plus_state.json"))
         assert code == 2
@@ -301,7 +328,8 @@ class TestSweepCommand:
     )
     def test_validated_objects_do_not_grow_with_the_grid(self, capsys, monkeypatch, coarse, fine):
         counts = {}
-        for cls in (q.DensityOperator, q.GameConfig):
+        classes = (q.DensityOperator, q.GameConfig, q.MixedPureSplit, q.PureState)
+        for cls in classes:
             original = cls.__post_init__
 
             def counting(self, name=cls.__name__, original=original):
@@ -313,9 +341,9 @@ class TestSweepCommand:
         for argv in (coarse, fine):
             counts.clear()
             assert run(capsys, *argv)[0] == 0
-            built.append((counts.get("DensityOperator", 0), counts.get("GameConfig", 0)))
-        (coarse_ops, coarse_configs), (fine_ops, fine_configs) = built
-        assert fine_ops <= coarse_ops and fine_configs <= coarse_configs, built
+            built.append([counts.get(cls.__name__, 0) for cls in classes])
+        coarse_counts, fine_counts = built
+        assert all(f <= c for f, c in zip(fine_counts, coarse_counts)), built
 
     def test_bad_step_exits_2(self, capsys):
         # Rejected before any CSV header is printed, for every figure.
@@ -526,7 +554,7 @@ class TestPrintColumns:
     [
         # one write of ~3.8 MB, far past the pipe buffer
         ("theorem-scan", "--step", "0.02", "--u2-step", "0.02"),
-        # ~180 kB over many prints, so a later print meets the closed pipe
+        # ~180 kB written line by line, so a later write meets the closed pipe
         ("decompose", "--input", str(INPUTS / "mixed_qubit.json"), "--count", "1000"),
     ],
     ids=["theorem-scan", "decompose"],
@@ -545,6 +573,25 @@ def test_closed_pipe_exits_0_without_traceback(argv):
     assert proc.wait(timeout=60) == 0, err
     assert first
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [("table1",), ("theorem-scan",), ("decompose", "--input", str(INPUTS / "mixed_qubit.json"))],
+    ids=["table1", "theorem-scan", "decompose"],
+)
+def test_full_disk_exits_3_without_traceback(argv):
+    # As in `qentropy table1 > /dev/full`: every write to stdout fails with ENOSPC.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qentropy.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert err.startswith("error: OSError: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 class TestArgumentErrors:

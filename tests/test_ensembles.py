@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qentropy as q
 from qentropy import ensembles, entropy, game, linalg
 
-from conftest import random_density_matrix, random_pure_amplitudes
+import split_oracle
+from conftest import QUBIT_EDGE_CASES, qubit_density_matrices, random_density_matrix, random_pure_amplitudes
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -431,6 +432,80 @@ class TestEnumerateSplits:
             # mirrored members put the larger amplitude on |1>
             probs = split.pures[0][1].probabilities()
             assert probs[1] >= probs[0] - 1e-12
+
+
+def bits(values) -> list[int]:
+    """Float64 (or complex128) values as bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(values).view(np.int64).tolist()
+
+
+def split_fields(split: q.MixedPureSplit) -> tuple:
+    amps = split.pures[0][1].amplitudes.tolist() if split.pures else []
+    return (split.mixed_weight, *split.mixed_diagonal.tolist(), split.pure_weight, amps)
+
+
+def outcome(build, *args):
+    """A split's fields, or the NoValidSplit message raised instead."""
+    try:
+        return split_fields(build(*args))
+    except q.NoValidSplit as exc:
+        return str(exc)
+
+
+class TestSplitKernel:
+    """The family's column kernel against the per-point route of tests/split_oracle.py, with ==."""
+
+    @staticmethod
+    def assert_sampled_columns_equal(op, count):
+        family = ensembles._sampled_family(op, count)
+        reference = split_oracle.enumerate_splits(op, count)
+        assert family.pure_weight.size == len(reference)
+        if not reference:
+            return
+        s_ci, pure_share, residual = family.s_ci, family.pure_share, family.residual(op.matrix)
+        for k, split in enumerate(reference):
+            columns = [family.mixed_weight[k], *family.diag[k], family.pure_weight[k], residual[k], s_ci[k],
+                       pure_share[k]]
+            expected = [split.mixed_weight, *split.mixed_diagonal, split.pure_weight, split.residual(op),
+                        q.composite(split), entropy._composite_terms(split)[1]]
+            assert columns == expected and bits(columns) == bits(expected), k
+            if split.pures:
+                assert bits(family.amps[k]) == bits(split.pures[0][1].amplitudes), k
+        assert list(map(split_fields, q.enumerate_splits(op, count))) == list(map(split_fields, reference))
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(matrix=qubit_density_matrices(), count=st.sampled_from([1, 2, 5, 257]) | st.integers(1, 40))
+    def test_sampled_columns_equal_the_per_point_route(self, matrix, count):
+        self.assert_sampled_columns_equal(q.make_density(matrix), count)
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 257])
+    @pytest.mark.parametrize("name", sorted(QUBIT_EDGE_CASES))
+    def test_edge_cases_equal_the_per_point_route(self, name, count):
+        self.assert_sampled_columns_equal(q.make_density(QUBIT_EDGE_CASES[name]), count)
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 257])
+    def test_committed_densities_equal_the_per_point_route(self, count):
+        documents = [q.load_document(str(path)) for path in sorted(INPUTS.glob("*.json"))]
+        densities = [doc.payload for doc in documents if doc.kind == "density" and doc.payload.dim == 2]
+        assert len(densities) >= 5
+        for op in densities:
+            self.assert_sampled_columns_equal(op, count)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(matrix=qubit_density_matrices(), fraction=st.floats(0.0, 1.0))
+    @example(matrix=np.array(QUBIT_EDGE_CASES["no-split-at-lowest-weight"]), fraction=0.0)
+    @example(matrix=np.array(QUBIT_EDGE_CASES["real-projector"]), fraction=1.0)
+    def test_scalar_views_equal_the_per_point_route(self, matrix, fraction):
+        # Any p2 in (0, 1], inside the valid range or not; NoValidSplit must carry the same message.
+        op = q.make_density(matrix)
+        p2 = max(fraction, 1e-6)
+        assert outcome(q.split_family, op, p2) == outcome(split_oracle.split_at, op, p2)
+        r = abs(op.a)
+        if r > ensembles.NEGLIGIBLE_OFFDIAG and min(op.x, op.y) <= r:
+            with pytest.raises(q.NoValidSplit, match="balanced split needs"):
+                q.symmetric_split(op)
+        else:
+            assert outcome(q.symmetric_split, op) == outcome(split_oracle.split_at, op, 2.0 * r)
 
 
 @settings(max_examples=80, deadline=None)
