@@ -27,6 +27,7 @@ from .ensembles import (
 )
 from .entropy import (
     _closed_form_bits,
+    _composite_rows,
     _entropy_bits,
     _qubit_von_neumann,
     grid,
@@ -135,9 +136,10 @@ def cmd_decompose(args) -> int:
     if not family.pure_weight.size:
         print("no valid splits in the sampled range", file=sys.stderr)
         return 0
+    s_ci, _ = _composite_rows(family.mixed_weight, family.diag, family.pure_weight, family.amps)
     columns = (family.pure_weight, family.mixed_weight, family.diag[:, 0], family.diag[:, 1], family.amps[:, 0],
-               family.amps[:, 1], family.residual(op.matrix), family.s_ci)
-    rows = zip(range(1, family.s_ci.size + 1), (family.pure_weight > 0.0).tolist(), *map(_column_cells, columns))
+               family.amps[:, 1], family.residual(op.matrix), s_ci)
+    rows = zip(range(1, s_ci.size + 1), (family.pure_weight > 0.0).tolist(), *map(_column_cells, columns))
     if args.csv:
         lines = (
             f"{k},{w},{m},{d0},{d1},{a0 if pure else ''},{a1 if pure else ''},{r},{s}\n"
@@ -164,7 +166,7 @@ def _balanced_family(step: float) -> tuple[np.ndarray, ...]:
     s_n = _qubit_von_neumann(0.5, 0.5, a)
     s_i = _entropy_bits(np.full((a.size, 2), 0.5))
     family = _family(0.5, 0.5, a, 1.0, 2.0 * a, mirror=False)
-    return a, s_n, s_i, family.s_ci, family.pure_share
+    return a, s_n, s_i, *_composite_rows(family.mixed_weight, family.diag, family.pure_weight, family.amps)
 
 
 def cmd_table1(args) -> int:

@@ -2,11 +2,13 @@
 
 An ensemble is a weighted list of preparations (pure or already-mixed). The
 decomposition side goes the other way: given a qubit density operator, write
-it as a diagonal mixed part plus pure components. The one-pure family, indexed
-by the pure weight p2, is one unchecked column kernel, ``_family``, that
-solves the real problem for |a| and puts the off-diagonal's phase on the pure
-amplitudes. ``split_family``, ``symmetric_split`` and ``enumerate_splits`` are
-views of its rows; ``decompose`` and the balanced family read its columns.
+it as a diagonal mixed part plus pure components. Unchecked column kernels
+hold the qubit formulas: ``_three_preparations`` the three-preparation
+ensemble's operator and natural split, for ``assemble``, ``natural_split``
+and ``entropy.ordering_scan``; ``_family`` the one-pure family by pure
+weight p2, with the off-diagonal's phase on the pure amplitudes. Its rows
+give ``split_family``, ``symmetric_split`` and ``enumerate_splits``, its
+columns ``decompose`` and the balanced family.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .linalg import (
     DensityOperator,
     PureState,
     _mix,
+    _projector,
     check_grid_size,
     check_weights,
 )
@@ -140,13 +143,9 @@ class QubitEnsembleSpec:
         Built directly from (p0, p1, p2, u, v) with no absorption, so ordering
         violations show up as computed.
         """
-        mixed_weight = self.p0 + self.p1
-        if mixed_weight > 0.0:
-            diagonal = np.array([self.p0, self.p1]) / mixed_weight
-        else:
-            diagonal = np.array([0.5, 0.5])
+        *_, mixed_weight, diagonal = _three_preparations(self.p0, self.p1, self.p2, self.u, self.v)
         pures = ((self.p2, self.superposed()),) if self.p2 > 0.0 else ()
-        return MixedPureSplit(mixed_weight, diagonal, pures)
+        return MixedPureSplit(mixed_weight[0], diagonal[0], pures)
 
     def to_ensemble(self) -> Ensemble:
         return Ensemble(
@@ -158,14 +157,22 @@ class QubitEnsembleSpec:
         )
 
 
-def assemble(spec: QubitEnsembleSpec) -> DensityOperator:
-    """Density operator of the three-preparation ensemble.
+def _three_preparations(p0, p1, p2, u, v) -> tuple[np.ndarray, ...]:
+    """Three-preparation ensembles over broadcast columns, unchecked: x, y, a and the natural split.
 
-    Closed form: diagonal (p0 + p2 u^2, p1 + p2 v^2), off-diagonal p2 u v.
+    x = p0 + p2 u^2, y = p1 + p2 v^2, a = p2 u v; mixed weight p0 + p1 on (p0, p1) / (p0 + p1), or (1/2, 1/2).
     """
-    x = spec.p0 + spec.p2 * spec.u * spec.u
-    y = spec.p1 + spec.p2 * spec.v * spec.v
-    a = spec.p2 * spec.u * spec.v
+    p0, p1, p2, u, v = np.broadcast_arrays(*np.atleast_1d(p0, p1, p2, u, v))
+    mixed = p0 + p1
+    diagonal = np.divide(
+        np.stack((p0, p1), axis=-1), mixed[:, None], out=np.full((mixed.size, 2), 0.5), where=mixed[:, None] > 0.0
+    )
+    return p0 + p2 * u * u, p1 + p2 * v * v, p2 * u * v, mixed, diagonal
+
+
+def assemble(spec: QubitEnsembleSpec) -> DensityOperator:
+    """Density operator of the three-preparation ensemble: [[x, a], [a, y]] of ``_three_preparations``."""
+    x, y, a = (c[0] for c in _three_preparations(spec.p0, spec.p1, spec.p2, spec.u, spec.v)[:3])
     return DensityOperator(np.array([[x, a], [a, y]], dtype=np.complex128))
 
 
@@ -239,7 +246,7 @@ class _Family(NamedTuple):
 
     Rows ``too_light`` (p2 below 2|a|) or ``negative`` (a mixed diagonal
     ``nums`` below 0 before clamping) admit no split. Pure weight 0: no pure
-    part. ``s_ci`` and its ``pure_share`` are summed as ``entropy.composite`` does.
+    part. ``entropy._composite_rows`` gives the rows' composite entropies.
     """
 
     too_light: np.ndarray
@@ -249,8 +256,6 @@ class _Family(NamedTuple):
     diag: np.ndarray
     pure_weight: np.ndarray
     amps: np.ndarray
-    s_ci: np.ndarray
-    pure_share: np.ndarray
 
     def split(self, k: int) -> MixedPureSplit:
         """Row k as a validated split."""
@@ -258,13 +263,11 @@ class _Family(NamedTuple):
         return MixedPureSplit(self.mixed_weight[k], self.diag[k], pures)
 
     def residual(self, target: np.ndarray) -> np.ndarray:
-        """Each row's ``MixedPureSplit.residual`` against `target`, operation for operation."""
-        m = self.amps[:, :, None] * self.amps.conj()[:, None, :]
-        projector = 0.5 * (m + m.conj().swapaxes(1, 2))
-        diag = np.zeros(m.shape)
+        """Each row's ``MixedPureSplit.residual`` against `target`: the same ``_mix``, over stacks."""
+        diag = np.zeros((self.diag.shape[0], 2, 2))
         diag[:, (0, 1), (0, 1)] = self.diag
-        acc = 0 + self.mixed_weight[:, None, None] * diag + self.pure_weight[:, None, None] * projector
-        return np.max(np.abs(0.5 * (acc + acc.conj().swapaxes(1, 2)) - target), axis=(1, 2))
+        parts = ((self.mixed_weight[:, None, None], diag), (self.pure_weight[:, None, None], _projector(self.amps)))
+        return np.max(np.abs(_mix(parts) - target), axis=(1, 2))
 
 
 def _family(x, y, r, phase: complex, p2, mirror: bool) -> _Family:
@@ -277,9 +280,10 @@ def _family(x, y, r, phase: complex, p2, mirror: bool) -> _Family:
     """
     x, y, r, p2 = np.broadcast_arrays(*np.atleast_1d(x, y, r, p2))
     negligible = r <= NEGLIGIBLE_OFFDIAG
-    ratio = 2.0 * r / np.where(negligible, 1.0, p2)
+    with np.errstate(over="ignore"):  # a p2 far below 2|a| gives an inf ratio: too light, as it should
+        ratio = 2.0 * r / np.where(negligible, 1.0, p2)
+        disc = np.sqrt(np.maximum(1.0 - ratio * ratio, 0.0))
     p2 = np.where(negligible, 0.0, p2)[:, None]  # pure weight 0 leaves the mixed diagonal (x, y)
-    disc = np.sqrt(np.maximum(1.0 - ratio * ratio, 0.0))
     squares = np.stack((0.5 * (1.0 + disc), 0.5 * (1.0 - disc)), axis=-1)
     diagonal = np.stack((x, y), axis=-1)
     if mirror:
@@ -295,10 +299,7 @@ def _family(x, y, r, phase: complex, p2, mirror: bool) -> _Family:
     mixed_weight, pure_weight = np.where(full, 0.0, 1.0 - p2[:, 0]), np.where(full, 1.0, p2[:, 0])
     # (s + 0j)(c + d j): CPython's float times complex, (s c - 0.0 d, s d + 0.0 c)
     amps = np.sqrt(squares) * np.array([1.0, complex(phase).conjugate()])
-    from .entropy import _entropy_bits  # entropy imports this module
-    pure_share = pure_weight * _entropy_bits(np.abs(amps) ** 2) + 0.0
-    s_ci = mixed_weight * _entropy_bits(diag) + pure_share
-    return _Family(too_light, negative, nums, mixed_weight, diag, pure_weight, amps, s_ci, pure_share)
+    return _Family(too_light, negative, nums, mixed_weight, diag, pure_weight, amps)
 
 
 def _one_split(op: DensityOperator, r: float, phase: complex, p2: float) -> MixedPureSplit:

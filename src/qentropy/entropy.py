@@ -12,6 +12,8 @@ pass: it returns an ``OrderingScan`` of columns, one entry per grid point.
 validated types (DensityOperator, PureState, MixedPureSplit) trust the checks
 those types made when they were built and go straight to the entropy kernel,
 ``_entropy_bits``, which also takes stacked rows for the scan and the sweeps.
+``_composite_rows`` takes one-pure splits as columns: the scan's natural
+splits, and the family rows of ``decompose`` and the balanced family.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .linalg import (
     check_grid_size,
     check_weights,
 )
-from .ensembles import Ensemble, MixedPureSplit, assemble_general
+from .ensembles import Ensemble, MixedPureSplit, _three_preparations, assemble_general
 
 RECONSTRUCTION_TOL = 1e-8
 ORDERING_SLACK = 1e-12
@@ -94,6 +96,12 @@ def _composite_terms(split: MixedPureSplit) -> tuple[float, float]:
     # The composite entropy's two terms: the mixed part's, and the pure share sum of w_i S_p(psi_i).
     pure_share = sum(weight * pure_entropy(state) for weight, state in split.pures) + 0.0
     return split.mixed_weight * _entropy_bits(split.mixed_diagonal), pure_share
+
+
+def _composite_rows(mixed_weight, diag, pure_weight, amps) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``composite`` and pure share, unchecked: ``mixed_weight`` on ``diag``, ``pure_weight`` on ``amps``."""
+    pure_share = pure_weight * _entropy_bits(np.abs(amps) ** 2) + 0.0
+    return mixed_weight * _entropy_bits(diag) + pure_share, pure_share
 
 
 def composite(split: MixedPureSplit) -> float:
@@ -229,13 +237,10 @@ def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScan:
     ordering flags with 1e-12 slack. The left inequality is reported as
     found; it is not universal over this family.
 
-    One array pass: the ensemble's operator [[x, a], [a, y]] has x = p0 +
-    p2 u^2, y = p1 + p2 v^2 and a = p2 u v, with u = sqrt(u^2) and v =
-    sqrt(1 - u^2); all spectra come from one stacked LAPACK call. The
-    natural split charges its mixed part, weight p0 + p1, the entropy of
-    (p0, p1) / (p0 + p1), or of (1/2, 1/2) at weight 0, and its pure part
-    p2 H(u^2, v^2). Every value equals the scalar route's through
-    QubitEnsembleSpec, assemble and natural_split.
+    One array pass, with u = sqrt(u^2) and v = sqrt(1 - u^2): the
+    operators and natural splits come from ``_three_preparations``, the
+    kernel that assemble and natural_split read at one point, and all
+    spectra from one stacked LAPACK call.
     """
     p_grid = grid(1.0, p_step, "p_step")
     u2_grid = grid(1.0, u2_step, "u2_step")
@@ -246,19 +251,11 @@ def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScan:
     feasible = p2 >= -WEIGHT_TOL
     p0, p1, p2 = (np.repeat(c[feasible], u2_grid.size) for c in (p0, p1, np.maximum(p2, 0.0)))
     u2 = np.tile(u2_grid, np.count_nonzero(feasible))
-    u, v = np.sqrt(u2), np.sqrt(1.0 - u2)
-
-    x = p0 + p2 * u * u
-    y = p1 + p2 * v * v
-    s_n = _qubit_von_neumann(x, y, p2 * u * v)
+    amps = np.column_stack((np.sqrt(u2), np.sqrt(1.0 - u2)))
+    x, y, a, mixed, diagonal = _three_preparations(p0, p1, p2, amps[:, 0], amps[:, 1])
+    s_n = _qubit_von_neumann(x, y, a)
     s_i = _entropy_bits(np.column_stack((x, y)))
-
-    mixed = p0 + p1
-    diagonal = np.divide(
-        np.column_stack((p0, p1)), mixed[:, None],
-        out=np.full((x.size, 2), 0.5), where=mixed[:, None] > 0.0,
-    )
-    s_ci = mixed * _entropy_bits(diagonal) + p2 * _entropy_bits(np.column_stack((u * u, v * v)))
+    s_ci, _ = _composite_rows(mixed, diagonal, p2, amps)
     return OrderingScan(
         p0=p0, p1=p1, p2=p2, u_squared=u2, s_n=s_n, s_ci=s_ci, s_i=s_i,
         holds_left=s_n <= s_ci + ORDERING_SLACK,

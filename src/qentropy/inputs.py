@@ -17,8 +17,6 @@ from .linalg import DensityOperator, PureState, make_density
 from .ensembles import Ensemble, EnsembleComponent, QubitEnsembleSpec
 from .game import GameConfig
 
-KINDS = ("density", "pure", "ensemble", "qubit-spec", "game")
-
 Payload = DensityOperator | PureState | Ensemble | QubitEnsembleSpec | GameConfig
 
 
@@ -129,23 +127,18 @@ def _parse_game(obj: dict, where: str) -> GameConfig:
     return GameConfig(lam=lam, injection_weight=weight, injected=injected)
 
 
+_PARSERS = {"density": _parse_density, "pure": _parse_pure, "ensemble": _parse_ensemble,
+            "qubit-spec": _parse_qubit_spec, "game": _parse_game}
+KINDS = tuple(_PARSERS)
+
+
 def parse_document(obj) -> InputDocument:
     """Validate a decoded JSON object into an InputDocument."""
     mapping = _require_mapping(obj, "document")
     kind = mapping.get("kind")
-    if kind not in KINDS:
+    if kind not in KINDS:  # the tuple, not the dict: a JSON array or object is unhashable
         raise ValidationError(f"document kind must be one of {list(KINDS)}, got {kind!r}")
-    if kind == "density":
-        payload: Payload = _parse_density(mapping, "document")
-    elif kind == "pure":
-        payload = _parse_pure(mapping, "document")
-    elif kind == "ensemble":
-        payload = _parse_ensemble(mapping, "document")
-    elif kind == "qubit-spec":
-        payload = _parse_qubit_spec(mapping, "document")
-    else:
-        payload = _parse_game(mapping, "document")
-    return InputDocument(kind=kind, payload=payload)
+    return InputDocument(kind=kind, payload=_PARSERS[kind](mapping, "document"))
 
 
 def load_document(path: str) -> InputDocument:

@@ -4,10 +4,12 @@ Density operators and pure states are frozen dataclasses that validate on
 construction and expose read-only arrays. Each invariant is checked once,
 where the value is built, and code downstream trusts it: ``check_weights``
 is the one check for mixture weights, and ``mix`` the checked route to
-``_mix``, which sums parts already validated. LAPACK is the one eigensolver:
-``numpy.linalg.eigvalsh`` gives each operator's spectrum when it is built,
-``numpy.linalg.eigh`` the eigenvectors of ``eig_hermitian``. The tests check
-both, and the 2x2 closed form, against a cyclic Jacobi routine of their own.
+``_mix``, which sums parts already validated: one matrix, or an (N, d, d)
+stack. It and ``_projector`` end in ``_hermitian_part``, the one (M + M^H) / 2.
+LAPACK is the one eigensolver: ``numpy.linalg.eigvalsh`` gives each operator's
+spectrum when it is built, ``numpy.linalg.eigh`` the eigenvectors of
+``eig_hermitian``. The tests check both, and the 2x2 closed form, against a
+cyclic Jacobi routine of their own.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ def check_weights(weights, what: str) -> np.ndarray:
         if not math.isfinite(v) or v < -WEIGHT_TOL:
             raise WeightSumInvalid(f"{what} contain the entry {v!r}, negative or non-finite")
     w = np.maximum(w, 0.0)
-    total = float(w.sum())
+    with np.errstate(over="ignore"):  # a sum past float64's range is inf and fails below
+        total = float(w.sum())
     if abs(total - 1.0) > WEIGHT_TOL:
         raise WeightSumInvalid(f"{what} sum to {total!r}, off unity by {abs(total - 1.0):.3e}")
     return w
@@ -69,7 +72,7 @@ def _as_square_complex(matrix) -> np.ndarray:
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix contains non-finite entries")
     return m
 
@@ -84,9 +87,10 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 1:
             raise DimensionMismatch(f"amplitudes must be a 1-d vector, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValidationError("amplitudes contain non-finite entries")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore"):  # an inf norm fails below
+            norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValidationError(
                 f"squared norm is {norm_sq!r}, off unity by {abs(norm_sq - 1.0):.3e}"
@@ -104,8 +108,17 @@ class PureState:
 
     def projector(self) -> np.ndarray:
         """Raw |state><state|, Hermitian part taken as a DensityOperator stores it."""
-        m = np.outer(self.amplitudes, self.amplitudes.conj())
-        return 0.5 * (m + m.conj().T)
+        return _projector(self.amplitudes)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 of a matrix, or of each matrix in an (N, d, d) stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def _projector(amplitudes: np.ndarray) -> np.ndarray:
+    """``PureState.projector`` of an amplitude vector, or of each row of an (N, d) stack."""
+    return _hermitian_part(amplitudes[..., :, None] * amplitudes.conj()[..., None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,17 +138,19 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         m = _as_square_complex(self.matrix)
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails its check below
+            herm_dev = float(np.max(np.abs(m - m.conj().T)))
+            m = _hermitian_part(m)
+            trace = float(np.trace(m).real)
         if herm_dev > HERMITIAN_TOL:
             raise NotHermitian(
                 f"max |M - M^H| entry is {herm_dev:.3e}, above tolerance {HERMITIAN_TOL:.0e}"
             )
-        m = 0.5 * (m + m.conj().T)
-        trace_dev = abs(float(np.trace(m).real) - 1.0)
+        trace_dev = abs(trace - 1.0)
         if trace_dev > TRACE_TOL:
-            raise TraceNotOne(
-                f"trace is {float(np.trace(m).real)!r}, off unity by {trace_dev:.3e}"
-            )
+            raise TraceNotOne(f"trace is {trace!r}, off unity by {trace_dev:.3e}")
+        if not np.isfinite(m).all():  # LAPACK would give NaN eigenvalues, which pass the check below
+            raise NotPositiveSemidefinite("Hermitian part overflows: an entry is past float64's range")
         spectrum = _eigvalsh_descending(m)
         if spectrum[-1] < -PSD_TOL:
             raise NotPositiveSemidefinite(
@@ -214,9 +229,8 @@ def outer_product(state: PureState) -> DensityOperator:
 
 
 def _mix(pairs) -> np.ndarray:
-    """Unchecked sum of validated (weight, matrix) pairs, in order, as a DensityOperator stores it."""
-    acc = sum(float(w) * m for w, m in pairs)
-    return 0.5 * (acc + acc.conj().T)
+    """Unchecked sum, Hermitian part taken, of validated (weight, matrix) pairs; (N, 1, 1) weights sum stacks."""
+    return _hermitian_part(sum(w * m for w, m in pairs))
 
 
 def mix(components) -> DensityOperator:

@@ -656,6 +656,20 @@ _FLAGS = [
     ("threshold", "--step"),
     ("theorem-scan", "--step"),
     ("theorem-scan", "--u2-step"),
+    ("entropy", "--input", str(INPUTS / "mixed_qubit.json"), "--p2"),
+]
+
+# Documents whose checks overflow float64: each must exit 2 with one stderr line and no numpy warning.
+_OVERFLOWING_DOCUMENTS = [
+    {"kind": "density", "re": [[1, 1e308], [1e308, 0]]},
+    {"kind": "density", "re": [[0.5, 0.5], [0.5, 0.5]], "im": [[0, 1e308], [-1e308, 0]]},
+    {"kind": "density", "re": [[0, 1e308], [-1e308, 1]]},
+    {"kind": "density", "re": [[1e308, 0], [0, 1e308]]},
+    {"kind": "density", "re": [[1e308, 0], [0, -1e308]]},  # a NaN trace, which passes the trace check
+    {"kind": "pure", "re": [1e155, 1e155]},
+    {"kind": "ensemble", "components": [{"weight": 1e308, "pure": {"re": [1, 0]}},
+                                        {"weight": 1e308, "pure": {"re": [0, 1]}}]},
+    {"kind": "qubit-spec", "p0": 1e308, "p1": 1e308, "p2": 0, "u2": 0.5},
 ]
 
 
@@ -664,6 +678,14 @@ class TestFuzzedDocuments:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(document=_JSON | _KIND_DOCUMENTS)
+    @example(document=_OVERFLOWING_DOCUMENTS[0])
+    @example(document=_OVERFLOWING_DOCUMENTS[1])
+    @example(document=_OVERFLOWING_DOCUMENTS[2])
+    @example(document=_OVERFLOWING_DOCUMENTS[3])
+    @example(document=_OVERFLOWING_DOCUMENTS[4])
+    @example(document=_OVERFLOWING_DOCUMENTS[5])
+    @example(document=_OVERFLOWING_DOCUMENTS[6])
+    @example(document=_OVERFLOWING_DOCUMENTS[7])
     def test_commands_keep_the_cli_contract(self, tmp_path_factory, document):
         path = tmp_path_factory.mktemp("fuzz") / "doc.json"
         path.write_text(json.dumps(document))
@@ -676,6 +698,14 @@ class TestFuzzedDocuments:
             assert code in (0, 2, 3)
             assert err.getvalue().count("\n") <= 1
 
+    @pytest.mark.parametrize("document", _OVERFLOWING_DOCUMENTS)
+    def test_overflowing_documents_exit_2(self, tmp_path, capsys, document):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "entropy", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(flag=st.sampled_from(_FLAGS), value=_FLAG_VALUES)
     # Steps just under each grid's cap: the most points a run may still take.
@@ -685,6 +715,8 @@ class TestFuzzedDocuments:
     @example(flag=_FLAGS[4], value=1.0 / (MAX_GRID_POINTS + 1))
     @example(flag=_FLAGS[5], value=0.0075)
     @example(flag=_FLAGS[6], value=1.0 / 431.5)
+    # A pure weight so small that 2|a| / p2 overflows: too light, so exit 2.
+    @example(flag=_FLAGS[7], value=1e-300)
     def test_numeric_flags_keep_the_cli_contract(self, flag, value):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():

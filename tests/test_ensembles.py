@@ -40,6 +40,20 @@ def mix_route(split: q.MixedPureSplit) -> np.ndarray:
     return q.mix(parts).matrix
 
 
+@st.composite
+def three_preparation_specs(draw) -> q.QubitEnsembleSpec:
+    """Specs with amplitudes of either sign, all three weights, or p0 = p1 = 0, or p2 = 0."""
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    shape = draw(st.sampled_from(["three", "pure only", "no pure"]))
+    if shape == "pure only":
+        p0 = p1 = 0.0
+    else:
+        p0 = draw(st.floats(0.0, 1.0))
+        p1 = 1.0 - p0 if shape == "no pure" else draw(st.floats(0.0, 1.0 - p0))
+    p2 = 0.0 if shape == "no pure" else max(1.0 - p0 - p1, 0.0)
+    return q.QubitEnsembleSpec(p0, p1, p2, math.cos(theta), math.sin(theta))
+
+
 class TestQubitEnsembleSpec:
     def test_assembles_double_example_exactly(self):
         spec = q.QubitEnsembleSpec(0.4, 0.3, 0.3, 0.8, 0.6)
@@ -75,6 +89,22 @@ class TestQubitEnsembleSpec:
             direct = q.assemble(spec)
             generic = q.assemble_general(spec.to_ensemble())
             assert np.max(np.abs(direct.matrix - generic.matrix)) < 1e-12
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(spec=three_preparation_specs())
+    def test_views_equal_the_scalar_formulas(self, spec):
+        # The formulas assemble and natural_split held before they read ensembles._three_preparations.
+        x = spec.p0 + spec.p2 * spec.u * spec.u
+        y = spec.p1 + spec.p2 * spec.v * spec.v
+        a = spec.p2 * spec.u * spec.v
+        expected = q.make_density(np.array([[x, a], [a, y]], dtype=np.complex128)).matrix
+        mixed_weight = spec.p0 + spec.p1
+        diagonal = np.array([spec.p0, spec.p1]) / mixed_weight if mixed_weight > 0.0 else np.array([0.5, 0.5])
+        pures = ((spec.p2, spec.superposed()),) if spec.p2 > 0.0 else ()
+        reference = split_fields(q.MixedPureSplit(mixed_weight, diagonal, pures))
+        matrix, split = q.assemble(spec).matrix, split_fields(spec.natural_split())
+        assert (matrix == expected).all() and bits(matrix) == bits(expected)
+        assert split == reference and bits(split[:4]) == bits(reference[:4])
 
     def test_determinant_identity(self, rng):
         # det rho = p0 p1 + p2 (p0 v^2 + p1 u^2) for this family
@@ -462,7 +492,8 @@ class TestSplitKernel:
         assert family.pure_weight.size == len(reference)
         if not reference:
             return
-        s_ci, pure_share, residual = family.s_ci, family.pure_share, family.residual(op.matrix)
+        s_ci, pure_share = entropy._composite_rows(family.mixed_weight, family.diag, family.pure_weight, family.amps)
+        residual = family.residual(op.matrix)
         for k, split in enumerate(reference):
             columns = [family.mixed_weight[k], *family.diag[k], family.pure_weight[k], residual[k], s_ci[k],
                        pure_share[k]]
@@ -495,10 +526,11 @@ class TestSplitKernel:
     @given(matrix=qubit_density_matrices(), fraction=st.floats(0.0, 1.0))
     @example(matrix=np.array(QUBIT_EDGE_CASES["no-split-at-lowest-weight"]), fraction=0.0)
     @example(matrix=np.array(QUBIT_EDGE_CASES["real-projector"]), fraction=1.0)
+    @example(matrix=np.array(QUBIT_EDGE_CASES["real-projector"]), fraction=1e-300)  # 2|a| / p2 overflows
     def test_scalar_views_equal_the_per_point_route(self, matrix, fraction):
         # Any p2 in (0, 1], inside the valid range or not; NoValidSplit must carry the same message.
         op = q.make_density(matrix)
-        p2 = max(fraction, 1e-6)
+        p2 = max(fraction, 5e-324)
         assert outcome(q.split_family, op, p2) == outcome(split_oracle.split_at, op, p2)
         r = abs(op.a)
         if r > ensembles.NEGLIGIBLE_OFFDIAG and min(op.x, op.y) <= r:

@@ -138,9 +138,13 @@ class TestGameDocuments:
 
 
 class TestDocumentEnvelope:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(q.ValidationError):
-            parse_document({"kind": "unitary", "re": [[1]]})
+    @pytest.mark.parametrize("kind", ["unitary", [], {}])
+    def test_unknown_kind_rejected(self, kind):
+        # An array or object kind is unhashable: it must fail the check, not raise TypeError.
+        expected = f"document kind must be one of ['density', 'pure', 'ensemble', 'qubit-spec', 'game'], got {kind!r}"
+        with pytest.raises(q.ValidationError) as info:
+            parse_document({"kind": kind, "re": [[1]]})
+        assert str(info.value) == expected
 
     def test_missing_kind_rejected(self):
         with pytest.raises(q.ValidationError):

@@ -82,6 +82,11 @@ class TestDensityOperator:
         with pytest.raises(q.NotPositiveSemidefinite):
             q.make_density([[0.7, 0.6], [0.6, 0.3]])
 
+    def test_rejects_an_overflowing_hermitian_part(self):
+        # (M + M^H) / 2 overflows to inf, and LAPACK's NaN eigenvalues would pass the PSD check.
+        with pytest.raises(q.ValidationError, match="Hermitian part overflows"):
+            q.make_density([[1.0, 1e308], [1e308, 0.0]])
+
     def test_rejects_non_square(self):
         with pytest.raises(q.DimensionMismatch):
             q.make_density(np.ones((2, 3)) / 3.0)
