@@ -136,7 +136,7 @@ def cmd_decompose(args) -> int:
     if not family.pure_weight.size:
         print("no valid splits in the sampled range", file=sys.stderr)
         return 0
-    s_ci, _ = _composite_rows(family.mixed_weight, family.diag, family.pure_weight, family.amps)
+    s_ci, _ = _composite_rows(family.mixed_weight, family.diag, ((family.pure_weight, family.amps),))
     columns = (family.pure_weight, family.mixed_weight, family.diag[:, 0], family.diag[:, 1], family.amps[:, 0],
                family.amps[:, 1], family.residual(op.matrix), s_ci)
     rows = zip(range(1, s_ci.size + 1), (family.pure_weight > 0.0).tolist(), *map(_column_cells, columns))
@@ -166,7 +166,7 @@ def _balanced_family(step: float) -> tuple[np.ndarray, ...]:
     s_n = _qubit_von_neumann(0.5, 0.5, a)
     s_i = _entropy_bits(np.full((a.size, 2), 0.5))
     family = _family(0.5, 0.5, a, 1.0, 2.0 * a, mirror=False)
-    return a, s_n, s_i, *_composite_rows(family.mixed_weight, family.diag, family.pure_weight, family.amps)
+    return a, s_n, s_i, *_composite_rows(family.mixed_weight, family.diag, ((family.pure_weight, family.amps),))
 
 
 def cmd_table1(args) -> int:
@@ -198,7 +198,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    solution = threshold_roots(tol=args.tol, grid_step=args.step)
+    solution = threshold_roots()
     lower, upper = solution.lower_root, solution.upper_root
     print(f"lower_root = {_fmt(lower)}")
     print(f"upper_root = {_fmt(upper)}")
@@ -270,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("threshold", help="zero crossings of the default game strategy")
-    p.add_argument("--tol", type=float, default=1e-9, help="bisection tolerance")
-    p.add_argument("--step", type=float, default=1e-3, help="bracketing grid step")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("holevo", help="Holevo quantity of an ensemble document")

@@ -12,8 +12,10 @@ pass: it returns an ``OrderingScan`` of columns, one entry per grid point.
 validated types (DensityOperator, PureState, MixedPureSplit) trust the checks
 those types made when they were built and go straight to the entropy kernel,
 ``_entropy_bits``, which also takes stacked rows for the scan and the sweeps.
-``_composite_rows`` takes one-pure splits as columns: the scan's natural
-splits, and the family rows of ``decompose`` and the balanced family.
+``_composite_rows`` is the one home of the composite sum: ``composite`` and
+``report`` pass it one split's pure parts, and the scan's natural splits and
+the family rows of ``decompose`` and the balanced family pass their one pure
+part as columns.
 """
 
 from __future__ import annotations
@@ -92,15 +94,13 @@ def pure_entropy(state: PureState) -> float:
     return _entropy_bits(state.probabilities())
 
 
-def _composite_terms(split: MixedPureSplit) -> tuple[float, float]:
-    # The composite entropy's two terms: the mixed part's, and the pure share sum of w_i S_p(psi_i).
-    pure_share = sum(weight * pure_entropy(state) for weight, state in split.pures) + 0.0
-    return split.mixed_weight * _entropy_bits(split.mixed_diagonal), pure_share
+def _composite_rows(mixed_weight, diag, pures) -> tuple:
+    """Each row's ``composite`` and pure share, unchecked.
 
-
-def _composite_rows(mixed_weight, diag, pure_weight, amps) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's ``composite`` and pure share, unchecked: ``mixed_weight`` on ``diag``, ``pure_weight`` on ``amps``."""
-    pure_share = pure_weight * _entropy_bits(np.abs(amps) ** 2) + 0.0
+    ``mixed_weight`` weighs the entropy of ``diag``, and each (weight,
+    amplitudes) pair of ``pures`` its superposition entropy. Scalars give floats.
+    """
+    pure_share = sum(weight * _entropy_bits(np.abs(amps) ** 2) for weight, amps in pures) + 0.0
     return mixed_weight * _entropy_bits(diag) + pure_share, pure_share
 
 
@@ -111,8 +111,8 @@ def composite(split: MixedPureSplit) -> float:
     diagonal; each pure component its weight times its superposition
     entropy.
     """
-    mixed, pure_share = _composite_terms(split)
-    return mixed + pure_share
+    pures = ((weight, state.amplitudes) for weight, state in split.pures)
+    return _composite_rows(split.mixed_weight, split.mixed_diagonal, pures)[0]
 
 
 def composite_closed_form(x: float, y: float, a: float) -> float:
@@ -169,8 +169,8 @@ def report(op: DensityOperator, split: MixedPureSplit | None = None) -> EntropyR
             raise SplitMismatch(
                 f"split reconstructs a different operator, max residual {residual:.3e}"
             )
-        mixed, pure_share = _composite_terms(split)
-        s_ci = mixed + pure_share
+        pures = ((weight, state.amplitudes) for weight, state in split.pures)
+        s_ci, pure_share = _composite_rows(split.mixed_weight, split.mixed_diagonal, pures)
     return EntropyReport(
         s_n=von_neumann(op), s_i=informational(op), s_ci=s_ci, pure_share=pure_share
     )
@@ -255,7 +255,7 @@ def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScan:
     x, y, a, mixed, diagonal = _three_preparations(p0, p1, p2, amps[:, 0], amps[:, 1])
     s_n = _qubit_von_neumann(x, y, a)
     s_i = _entropy_bits(np.column_stack((x, y)))
-    s_ci, _ = _composite_rows(mixed, diagonal, p2, amps)
+    s_ci, _ = _composite_rows(mixed, diagonal, ((p2, amps),))
     return OrderingScan(
         p0=p0, p1=p1, p2=p2, u_squared=u2, s_n=s_n, s_ci=s_ci, s_i=s_i,
         holds_left=s_n <= s_ci + ORDERING_SLACK,

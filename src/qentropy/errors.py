@@ -64,14 +64,3 @@ class ConvergenceFailure(NumericalError):
         super().__init__(message)
         self.residual = residual
 
-
-class NoRootFound(NumericalError):
-    """Root bracketing found no sign change on the search grid."""
-
-
-class TooManyRoots(NumericalError):
-    """Root bracketing found more sign changes than the problem admits."""
-
-    def __init__(self, message: str, roots: tuple[float, ...]) -> None:
-        super().__init__(message)
-        self.roots = roots

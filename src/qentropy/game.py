@@ -4,20 +4,19 @@ A sender prepares the diagonal state diag(lam, 1-lam); the receiver mixes
 in a pure state with some weight. The default strategy injects
 (sqrt(1-lam), sqrt(lam)) at weight 1/2, which swaps the diagonal and adds
 the off-diagonal sqrt(lam(1-lam))/2. entropy_gain measures how much von
-Neumann entropy the injection adds; threshold_roots finds where the gain
-changes sign.
+Neumann entropy the injection adds; threshold_roots gives, in closed form,
+the two lambdas where the gain changes sign.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import NoRootFound, TooManyRoots, ValidationError
-from .linalg import DensityOperator, PureState, _mix, check_grid_size
+from .errors import ValidationError
+from .linalg import DensityOperator, PureState, _mix
 from .entropy import _entropy_bits, von_neumann
 
 
@@ -99,69 +98,15 @@ class ThresholdSolution:
     upper_root: float
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    f_lo = f(lo)
-    while hi - lo >= tol:
-        mid = 0.5 * (lo + hi)
-        # Adjacent doubles: the bracket cannot shrink, whatever `tol` asks.
-        if mid == lo or mid == hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo = mid
-            f_lo = f_mid
-    return 0.5 * (lo + hi)
+def threshold_roots() -> ThresholdSolution:
+    """Both zero crossings of the default strategy's entropy gain, in closed form.
 
-
-def _bracket_roots(f: Callable, tol: float, grid_step: float, expected: int) -> list[float]:
-    """Find sign changes of f on (0, 1) and refine each by bisection.
-
-    `f` takes the grid as one array and each bisection point as a float.
-    Raises NoRootFound when fewer than `expected` roots appear and
-    TooManyRoots when more do.
+    The receiver's eigenvalues sit sqrt(lam(1-lam))/2 from 1/2 and the
+    sender's |1-2lam|/2, so the gain is zero exactly where the two distances
+    match: 5lam^2 - 5lam + 1 = 0, at lam = 1/2 -+ sqrt(5)/10. The gain is
+    positive outside the roots and negative between them.
     """
-    stop = 1.0 - 0.5 * grid_step
-    check_grid_size(np.ceil((stop - grid_step) / grid_step), f"grid_step {grid_step!r}")
-    xs = np.arange(grid_step, stop, grid_step)
-    if xs.size < 2:
-        raise ValidationError(f"grid_step {grid_step!r} leaves no interior grid")
-    values = f(xs)
-    zero = values == 0.0
-    # A root at each grid zero, and one bisected inside each strict sign change.
-    crossing = ~zero[:-1] & ~zero[1:] & ((values[:-1] < 0.0) != (values[1:] < 0.0))
-    roots = [
-        float(xs[i]) if zero[i] else _bisect(f, float(xs[i]), float(xs[i + 1]), tol)
-        for i in np.flatnonzero(zero | np.append(crossing, False))
-    ]
-    if len(roots) > expected:
-        raise TooManyRoots(
-            f"found {len(roots)} sign changes, expected {expected}", roots=tuple(roots)
-        )
-    if len(roots) < expected:
-        raise NoRootFound(f"found {len(roots)} sign changes on the grid, expected {expected}")
-    return roots
-
-
-def threshold_roots(tol: float = 1e-9, grid_step: float = 1e-3) -> ThresholdSolution:
-    """Locate both zero crossings of the default strategy's entropy gain.
-
-    The gain is positive near the ends of (0, 1) and negative in the
-    middle, so exactly two roots exist; they are symmetric about 1/2.
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be positive, got {tol!r}")
-    if not (math.isfinite(grid_step) and 0.0 < grid_step < 0.5):
-        raise ValidationError(f"grid_step must lie in (0, 0.5), got {grid_step!r}")
-
-    def gain(lam):
-        # Bisection steps go through entropy_gain so that traces count them.
-        return _default_game(lam)[2] if np.ndim(lam) else entropy_gain(GameConfig(lam))
-
-    return ThresholdSolution(*_bracket_roots(gain, tol, grid_step, expected=2))
+    return ThresholdSolution(0.5 - math.sqrt(5.0) / 10.0, 0.5 + math.sqrt(5.0) / 10.0)
 
 
 def sweep_game(lambdas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -318,13 +318,12 @@ class TestSweepCommand:
             (("sweep", "--figure", "2", "--step", "0.05"), ("sweep", "--figure", "2", "--step", "0.001")),
             (("sweep", "--figure", "3", "--step", "0.1"), ("sweep", "--figure", "3", "--step", "0.01")),
             (("sweep", "--figure", "5", "--step", "0.1"), ("sweep", "--figure", "5", "--step", "0.001")),
-            (("threshold", "--step", "0.01"), ("threshold", "--step", "0.0005")),
             (
                 ("decompose", "--input", str(INPUTS / "mixed_qubit.json"), "--count", "5"),
                 ("decompose", "--input", str(INPUTS / "mixed_qubit.json"), "--count", "50"),
             ),
         ],
-        ids=["table1", "figure-2", "figure-3", "figure-5", "threshold", "decompose"],
+        ids=["table1", "figure-2", "figure-3", "figure-5", "decompose"],
     )
     def test_validated_objects_do_not_grow_with_the_grid(self, capsys, monkeypatch, coarse, fine):
         counts = {}
@@ -366,19 +365,20 @@ class TestThresholdCommand:
         signs = [line.rsplit(" ", 1)[1] for line in out.splitlines() if line.startswith("gain sign")]
         assert signs == ["+", "-", "+"]
 
-    def test_loose_grid_still_close(self, capsys):
-        code, out, _ = run(capsys, "threshold", "--tol", "1e-6", "--step", "0.01")
-        assert code == 0
-        assert parsed_value(out, "lower_root") == pytest.approx(0.276393, abs=1e-4)
+    def test_solver_flags_are_rejected(self, capsys):
+        # threshold takes no options: its roots are closed-form.
+        code, out, err = run(capsys, "threshold", "--tol", "1e-6", "--step", "0.01")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: qentropy: unrecognized arguments: ") and err.count("\n") == 1
 
     def test_numerical_failure_maps_to_3(self, capsys, monkeypatch):
-        def boom(tol, grid_step):
-            raise q.NoRootFound("no sign change")
+        def boom():
+            raise q.ConvergenceFailure("no convergence", residual=0.0)
 
         monkeypatch.setattr(cli, "threshold_roots", boom)
         code, _, err = run(capsys, "threshold")
         assert code == 3
-        assert "NoRootFound" in err
+        assert "ConvergenceFailure" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -406,13 +406,13 @@ class TestThresholdCommand:
 
 def test_report_computes_the_pure_share_once(capsys, monkeypatch):
     calls = []
-    original = entropy.pure_entropy
+    original = entropy._composite_rows
 
-    def counting(state):
-        calls.append(state)
-        return original(state)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(entropy, "pure_entropy", counting)
+    monkeypatch.setattr(entropy, "_composite_rows", counting)
     code, out, _ = run(capsys, "entropy", "--input", str(INPUTS / "mixed_qubit.json"))
     assert code == 0 and "pure_share = " in out
     assert len(calls) == 1
@@ -608,7 +608,6 @@ class TestArgumentErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("threshold", "--step", "1e-300"),
             ("sweep", "--figure", "2", "--step", "1e-9"),
             ("theorem-scan", "--step", "1e-9"),
             # Each axis is under the cap; their product is not.
@@ -652,8 +651,6 @@ _FLAGS = [
     ("sweep", "--figure", "2", "--step"),
     ("sweep", "--figure", "3", "--step"),
     ("sweep", "--figure", "5", "--step"),
-    ("threshold", "--tol"),
-    ("threshold", "--step"),
     ("theorem-scan", "--step"),
     ("theorem-scan", "--u2-step"),
     ("entropy", "--input", str(INPUTS / "mixed_qubit.json"), "--p2"),
@@ -712,11 +709,10 @@ class TestFuzzedDocuments:
     @example(flag=_FLAGS[0], value=0.5 / (MAX_GRID_POINTS - 1))
     @example(flag=_FLAGS[1], value=math.nextafter(1.0 / 446, 1.0))
     @example(flag=_FLAGS[2], value=1.0 / (MAX_GRID_POINTS - 1))
-    @example(flag=_FLAGS[4], value=1.0 / (MAX_GRID_POINTS + 1))
-    @example(flag=_FLAGS[5], value=0.0075)
-    @example(flag=_FLAGS[6], value=1.0 / 431.5)
+    @example(flag=_FLAGS[3], value=0.0075)
+    @example(flag=_FLAGS[4], value=1.0 / 431.5)
     # A pure weight so small that 2|a| / p2 overflows: too light, so exit 2.
-    @example(flag=_FLAGS[7], value=1e-300)
+    @example(flag=_FLAGS[5], value=1e-300)
     def test_numeric_flags_keep_the_cli_contract(self, flag, value):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():

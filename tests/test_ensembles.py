@@ -492,13 +492,13 @@ class TestSplitKernel:
         assert family.pure_weight.size == len(reference)
         if not reference:
             return
-        s_ci, pure_share = entropy._composite_rows(family.mixed_weight, family.diag, family.pure_weight, family.amps)
+        s_ci, pure_share = entropy._composite_rows(family.mixed_weight, family.diag, ((family.pure_weight, family.amps),))
         residual = family.residual(op.matrix)
         for k, split in enumerate(reference):
             columns = [family.mixed_weight[k], *family.diag[k], family.pure_weight[k], residual[k], s_ci[k],
                        pure_share[k]]
             expected = [split.mixed_weight, *split.mixed_diagonal, split.pure_weight, split.residual(op),
-                        q.composite(split), entropy._composite_terms(split)[1]]
+                        q.composite(split), sum(w * q.pure_entropy(ps) for w, ps in split.pures) + 0.0]
             assert columns == expected and bits(columns) == bits(expected), k
             if split.pures:
                 assert bits(family.amps[k]) == bits(split.pures[0][1].amplitudes), k

@@ -1,4 +1,4 @@
-"""The entropy injection game and its threshold solver."""
+"""The entropy injection game and its closed-form thresholds."""
 
 from __future__ import annotations
 
@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qentropy as q
 from qentropy.entropy import _entropy_bits
-from qentropy.game import _bisect, _bracket_roots
 
+import root_oracle
 from conftest import random_pure_amplitudes
+from root_oracle import _bisect, _bracket_roots
 
 # Zero crossings of the default strategy's gain solve 5t^2 - 5t + 1 = 0;
 # derived by comparing the receiver and sender eigenvalue distances from
@@ -125,12 +128,16 @@ class TestEntropyGain:
 class TestThresholdRoots:
     def test_default_solution_matches_algebraic_roots(self):
         sol = q.threshold_roots()
-        assert sol.lower_root == pytest.approx(EXACT_LOWER, abs=1e-8)
-        assert sol.upper_root == pytest.approx(EXACT_UPPER, abs=1e-8)
+        assert (sol.lower_root, sol.upper_root) == (EXACT_LOWER, EXACT_UPPER)
 
     def test_roots_are_symmetric(self):
         sol = q.threshold_roots()
-        assert sol.lower_root + sol.upper_root == pytest.approx(1.0, abs=1e-6)
+        assert sol.lower_root + sol.upper_root == 1.0
+
+    def test_gain_is_zero_at_each_root(self):
+        sol = q.threshold_roots()
+        assert q.entropy_gain(q.GameConfig(sol.lower_root)) == 0.0
+        assert q.entropy_gain(q.GameConfig(sol.upper_root)) == 0.0
 
     def test_sign_flips_across_each_root(self):
         sol = q.threshold_roots()
@@ -139,35 +146,50 @@ class TestThresholdRoots:
         assert q.entropy_gain(q.GameConfig(sol.upper_root - 0.01)) < 0.0
         assert q.entropy_gain(q.GameConfig(sol.upper_root + 0.01)) > 0.0
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lam=st.floats(0.0, 1.0))
+    def test_gain_sign_matches_the_roots(self, lam):
+        # Positive outside the roots, negative between them, away from the roots themselves.
+        sol = q.threshold_roots()
+        assume(min(abs(lam - sol.lower_root), abs(lam - sol.upper_root)) > 1e-9)
+        gain = q.entropy_gain(q.GameConfig(lam))
+        if sol.lower_root < lam < sol.upper_root:
+            assert gain < 0.0
+        else:
+            assert gain > 0.0
+
     def test_loose_tolerance_still_brackets(self):
-        rough = q.threshold_roots(tol=1e-3, grid_step=0.01)
-        fine = q.threshold_roots()
-        assert rough.lower_root == pytest.approx(fine.lower_root, abs=2e-3)
-        assert rough.upper_root == pytest.approx(fine.upper_root, abs=2e-3)
+        rough = root_oracle.threshold_roots(tol=1e-3, grid_step=0.01)
+        exact = q.threshold_roots()
+        assert rough.lower_root == pytest.approx(exact.lower_root, abs=2e-3)
+        assert rough.upper_root == pytest.approx(exact.upper_root, abs=2e-3)
 
     def test_parameter_validation(self):
         with pytest.raises(q.ValidationError):
-            q.threshold_roots(tol=0.0)
+            root_oracle.threshold_roots(tol=0.0)
         with pytest.raises(q.ValidationError):
-            q.threshold_roots(grid_step=0.7)
+            root_oracle.threshold_roots(grid_step=0.7)
 
     @pytest.mark.parametrize("tol", [1e-300, 1e-9, 1e-5, 1e-4, 1e-3, 0.2])
     @pytest.mark.parametrize("step", [1e-3, 0.007, 0.013, 0.15])
     def test_roots_within_half_tolerance(self, tol, step):
-        # Bisection stops once the bracket is narrower than tol and returns its
-        # midpoint; a tol below one ulp stops at adjacent doubles instead.
-        sol = q.threshold_roots(tol=tol, grid_step=step)
-        for root, exact in ((sol.lower_root, EXACT_LOWER), (sol.upper_root, EXACT_UPPER)):
-            assert abs(root - exact) <= max(tol / 2.0, math.ulp(exact))
+        # The oracle bisects entropy_gain until the bracket is narrower than tol and returns
+        # its midpoint; a tol below one ulp stops at adjacent doubles instead.
+        sol = root_oracle.threshold_roots(tol=tol, grid_step=step)
+        exact = q.threshold_roots()
+        for root, closed in ((sol.lower_root, exact.lower_root), (sol.upper_root, exact.upper_root)):
+            assert abs(root - closed) <= max(tol / 2.0, math.ulp(closed))
 
 
 class TestBracketHelper:
+    """The oracle's bracketing on functions with known roots."""
+
     def test_no_sign_change(self):
-        with pytest.raises(q.NoRootFound):
+        with pytest.raises(root_oracle.NoRootFound):
             _bracket_roots(lambda x: 1.0 + x, 1e-9, 0.01, expected=2)
 
     def test_too_many_crossings(self):
-        with pytest.raises(q.TooManyRoots) as err:
+        with pytest.raises(root_oracle.TooManyRoots) as err:
             _bracket_roots(lambda x: np.sin(8.0 * np.pi * x), 1e-9, 0.01, expected=2)
         assert len(err.value.roots) > 2
 
@@ -229,7 +251,7 @@ class TestSweepGame:
 
     @pytest.mark.parametrize("step", [1e-3, 0.01, 5e-4])
     def test_columns_equal_the_scalar_route(self, step):
-        # The threshold bracket's grid: every gain bit for bit against one lambda at a time.
+        # The root oracle's bracketing grid: every gain bit for bit against one lambda at a time.
         lambdas = np.arange(step, 1.0 - 0.5 * step, step)
         sender, receiver, gain = q.sweep_game(lambdas)
         for k, lam in enumerate(lambdas.tolist()):
