@@ -19,29 +19,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NoValidSplit,
-    ValidationError,
-)
+from .errors import DimensionMismatch, NoValidSplit, ValidationError
 from .linalg import (
-    NORM_TOL,
-    WEIGHT_TOL,
+    CONTRACT_TOL,
+    NEGLIGIBLE_OFFDIAG,
+    ROUNDING_SLACK,
     DensityOperator,
     PureState,
     _mix,
     _projector,
+    _require_unit,
     check_grid_size,
     check_weights,
 )
-
-# Off-diagonal magnitudes below this are treated as zero: the family's pure
-# component degenerates to a basis state and is folded into the mixed part.
-NEGLIGIBLE_OFFDIAG = 1e-12
-# Rounding overshoot past an exact bound (0 <= u^2 <= 1, p2 <= 1, 2|a| <= p2): clamped, not rejected.
-BOUND_SLACK = 1e-12
-# A pure-weight interval narrower than this is one point, sampled once.
-POINT_INTERVAL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +109,7 @@ class QubitEnsembleSpec:
         v = float(self.v)
         if not (math.isfinite(u) and math.isfinite(v)):
             raise ValidationError("amplitudes must be finite")
-        norm_sq = u * u + v * v
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValidationError(f"u^2 + v^2 = {norm_sq!r}, off unity by {abs(norm_sq - 1.0):.3e}")
+        _require_unit(u * u + v * v, "u^2 + v^2 =", ValidationError)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -129,7 +117,7 @@ class QubitEnsembleSpec:
     def from_u_squared(cls, p0: float, p1: float, p2: float, u_squared: float) -> QubitEnsembleSpec:
         """Build from u^2, taking both amplitudes nonnegative."""
         u2 = float(u_squared)
-        if not math.isfinite(u2) or u2 < -BOUND_SLACK or u2 > 1.0 + BOUND_SLACK:
+        if not math.isfinite(u2) or u2 < -ROUNDING_SLACK or u2 > 1.0 + ROUNDING_SLACK:
             raise ValidationError(f"u_squared = {u_squared!r} outside [0, 1]")
         u2 = min(max(u2, 0.0), 1.0)
         return cls(p0, p1, p2, math.sqrt(u2), math.sqrt(1.0 - u2))
@@ -276,7 +264,7 @@ def _family(x, y, r, phase: complex, p2, mirror: bool) -> _Family:
     x, y, r and p2 broadcast to one column. Each row solves p2 u v = r with
     u^2 + v^2 = 1, the larger u^2 on |0> (with `mirror`, on |1> where |0>
     leaves a negative mixed diagonal). Rows with r <= NEGLIGIBLE_OFFDIAG are
-    all mixed; a mixed weight under it, or no mixed diagonal left, all pure.
+    all mixed; a mixed weight under ROUNDING_SLACK, or no diagonal left, pure.
     """
     x, y, r, p2 = np.broadcast_arrays(*np.atleast_1d(x, y, r, p2))
     negligible = r <= NEGLIGIBLE_OFFDIAG
@@ -287,13 +275,13 @@ def _family(x, y, r, phase: complex, p2, mirror: bool) -> _Family:
     squares = np.stack((0.5 * (1.0 + disc), 0.5 * (1.0 - disc)), axis=-1)
     diagonal = np.stack((x, y), axis=-1)
     if mirror:
-        swap = np.any(diagonal - p2 * squares < -WEIGHT_TOL, axis=-1)
+        swap = np.any(diagonal - p2 * squares < -CONTRACT_TOL, axis=-1)
         squares = np.where(swap[:, None], squares[:, ::-1], squares)
     nums = diagonal - p2 * squares
-    too_light, negative = ratio > 1.0 + BOUND_SLACK, np.any(nums < -WEIGHT_TOL, axis=-1) & ~negligible
+    too_light, negative = ratio > 1.0 + ROUNDING_SLACK, np.any(nums < -CONTRACT_TOL, axis=-1) & ~negligible
     # np.maximum, as check_weights clamps: a -0.0 numerator gives a 0.0 entry, never -0.0.
     mixed = np.maximum(nums, 0.0)
-    full = (1.0 - p2[:, 0] < NEGLIGIBLE_OFFDIAG) | (mixed.sum(axis=-1) <= 0.0)
+    full = (1.0 - p2[:, 0] < ROUNDING_SLACK) | (mixed.sum(axis=-1) <= 0.0)
     mixed[full] = 0.5
     diag = mixed / mixed.sum(axis=-1, keepdims=True)
     mixed_weight, pure_weight = np.where(full, 0.0, 1.0 - p2[:, 0]), np.where(full, 1.0, p2[:, 0])
@@ -323,7 +311,7 @@ def split_family(op: DensityOperator, p2: float) -> MixedPureSplit:
     """
     r, phase = _offdiag_polar(op)
     p2f = float(p2)
-    if not math.isfinite(p2f) or p2f <= 0.0 or p2f > 1.0 + BOUND_SLACK:
+    if not math.isfinite(p2f) or p2f <= 0.0 or p2f > 1.0 + ROUNDING_SLACK:
         raise ValidationError(f"p2 must lie in (0, 1], got {p2!r}")
     return _one_split(op, r, phase, min(p2f, 1.0))
 
@@ -373,7 +361,7 @@ def _sampled_family(op: DensityOperator, count: int) -> _Family:
     check_grid_size(n, f"count {count!r}")
     lo, hi = pure_weight_bounds(op)
     # A vanishing off-diagonal repeats the all-mixed split per sample; a point interval is sampled once.
-    points = n if r <= NEGLIGIBLE_OFFDIAG or hi - lo >= POINT_INTERVAL else 1
+    points = n if r <= NEGLIGIBLE_OFFDIAG or hi - lo >= ROUNDING_SLACK else 1
     family = _family(op.x, op.y, r, phase, np.linspace(lo, hi, points), mirror=True)
     keep = ~(family.too_light | family.negative)
     return family._make(c[keep] for c in family)

@@ -27,36 +27,39 @@ import numpy as np
 
 from .errors import DomainViolation, SplitMismatch, ValidationError
 from .linalg import (
-    TRACE_TOL,
-    WEIGHT_TOL,
+    CONTRACT_TOL,
+    GRID_SLACK,
+    RECONSTRUCTION_TOL,
+    ROUNDING_SLACK,
+    SNAP_ULPS,
     DensityOperator,
     PureState,
     _lapack,
+    _require_unit,
     check_grid_size,
     check_weights,
 )
 from .ensembles import Ensemble, MixedPureSplit, _three_preparations, assemble_general
 
-RECONSTRUCTION_TOL = 1e-8
-ORDERING_SLACK = 1e-12
-# Lets limit / step reach a whole number through rounding (0.3 / 0.1 = 2.9999999999999996).
-GRID_SLACK = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _entropy_bits(p: np.ndarray) -> float | np.ndarray:
     """Entropy in bits of a vector, or of each row along the last axis.
 
-    Unchecked: the maker of `p` validated it. Entries are clipped to [0, 1],
-    so every term -p log2 p is >= 0 and so is the sum, in floating point too.
-    A vector drops its entries <= 0 and gives a float; rows map them to 1,
-    whose term is exactly 0, and give an array. Dropping keeps numpy's
-    pairwise-sum order of the nonzero terms, which padding would change at
-    eight or more entries. (np.clip would add ~4 us a call.)
+    Unchecked: the maker of `p` validated it. Entries within SNAP_ULPS n eps
+    of 0 or 1 (n the length), or above 1, are rounding: their terms are
+    exactly 0, so a pure state's spectrum gives 0 and every sum is >= 0. A
+    vector drops them and gives a float; rows map them to 1 and give an
+    array. Dropping keeps numpy's pairwise-sum order of the other terms,
+    which padding would change at eight or more entries.
     """
+    snap = SNAP_ULPS * p.shape[-1] * _EPS
+    kept = (p > snap) & (p < 1.0 - snap)
     if p.ndim == 1:
-        nz = np.minimum(p[p > 0.0], 1.0)
+        nz = p[kept]
         return float(-np.sum(nz * np.log2(nz))) + 0.0
-    nz = np.where(p > 0.0, np.minimum(p, 1.0), 1.0)
+    nz = np.where(kept, p, 1.0)
     return -np.sum(nz * np.log2(nz), axis=-1) + 0.0
 
 
@@ -124,8 +127,7 @@ def composite_closed_form(x: float, y: float, a: float) -> float:
     xf, yf, af = float(x), float(y), float(a)
     if not (math.isfinite(xf) and math.isfinite(yf) and math.isfinite(af)):
         raise DomainViolation("arguments must be finite")
-    if abs(xf + yf - 1.0) > TRACE_TOL:
-        raise DomainViolation(f"x + y = {xf + yf!r}, off unity by {abs(xf + yf - 1.0):.3e}")
+    _require_unit(xf + yf, "x + y =", DomainViolation)
     if af < 0.0:
         raise DomainViolation(f"a = {af!r} must be nonnegative")
     if xf <= af or yf <= af:
@@ -206,7 +208,7 @@ class OrderingScan:
 
     Every field is an array with one entry per grid point, in the scan's
     order: p0 outermost, then p1, then u^2. The two flags hold each side of
-    the ordering with ORDERING_SLACK.
+    the ordering with ROUNDING_SLACK.
     """
 
     p0: np.ndarray
@@ -248,7 +250,7 @@ def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScan:
     check_grid_size(pairs * u2_grid.size, f"p_step {p_step!r} with u2_step {u2_step!r}")
     p0, p1 = (c.ravel() for c in np.meshgrid(p_grid, p_grid, indexing="ij"))
     p2 = 1.0 - p0 - p1
-    feasible = p2 >= -WEIGHT_TOL
+    feasible = p2 >= -CONTRACT_TOL
     p0, p1, p2 = (np.repeat(c[feasible], u2_grid.size) for c in (p0, p1, np.maximum(p2, 0.0)))
     u2 = np.tile(u2_grid, np.count_nonzero(feasible))
     amps = np.column_stack((np.sqrt(u2), np.sqrt(1.0 - u2)))
@@ -258,6 +260,6 @@ def ordering_scan(p_step: float = 0.05, u2_step: float = 0.1) -> OrderingScan:
     s_ci, _ = _composite_rows(mixed, diagonal, ((p2, amps),))
     return OrderingScan(
         p0=p0, p1=p1, p2=p2, u_squared=u2, s_n=s_n, s_ci=s_ci, s_i=s_i,
-        holds_left=s_n <= s_ci + ORDERING_SLACK,
-        holds_right=s_ci <= s_i + ORDERING_SLACK,
+        holds_left=s_n <= s_ci + ROUNDING_SLACK,
+        holds_right=s_ci <= s_i + ROUNDING_SLACK,
     )

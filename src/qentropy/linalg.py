@@ -29,15 +29,23 @@ from .errors import (
     WeightSumInvalid,
 )
 
-HERMITIAN_TOL = 1e-9
-TRACE_TOL = 1e-9
-PSD_TOL = 1e-9
-NORM_TOL = 1e-9
-WEIGHT_TOL = 1e-9
+# The tolerance table: every tolerance in the package, each with its reason.
+# How far a validated value may miss its contract: M = M^H, a unit trace, norm or sum, entries >= 0.
+CONTRACT_TOL = 1e-9
+# Rounding past an exact bound or ordering (p2 <= 1, 2|a| <= p2, S_n <= S_ci), or a one-point width.
+ROUNDING_SLACK = 1e-12
+# Off-diagonal magnitudes at or below this are zero: a split's pure part folds into its mixed part.
+NEGLIGIBLE_OFFDIAG = 1e-12
+# Largest entrywise gap between a split's sum and the operator it claims to split.
+RECONSTRUCTION_TOL = 1e-8
+# Lets limit / step reach a whole number through rounding (0.3 / 0.1 = 2.9999999999999996).
+GRID_SLACK = 1e-9
+# Entropy entries within SNAP_ULPS * n * eps of 0 or 1 are eigensolver rounding (Higham 2002): 0 or 1.
+SNAP_ULPS = 4
 
 # Most points one command's grid, or split sample, may have: ~40x the largest
-# default or benchmark grid (2.7k), so no step or count can make a run take
-# much over 30 s or 100 MB.
+# default or benchmark grid (2.7k), so no run takes much over 30 s; the largest
+# `decompose --count` peaks near 100.3 MB of RSS (ROADMAP item 3 would bound it).
 MAX_GRID_POINTS = 100_000
 
 
@@ -51,21 +59,26 @@ def check_weights(weights, what: str) -> np.ndarray:
     """Validate mixture weights; return them as a fresh float vector.
 
     The vector must be 1-d, non-empty and finite. Entries down to
-    -WEIGHT_TOL are clamped to zero, and the sum must be 1 within
-    WEIGHT_TOL; anything else raises WeightSumInvalid naming `what`.
+    -CONTRACT_TOL are clamped to zero, and the sum must be 1 within
+    CONTRACT_TOL; anything else raises WeightSumInvalid naming `what`.
     """
     w = np.array(weights, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise WeightSumInvalid(f"{what} must be a non-empty 1-d vector, got shape {w.shape}")
     for v in w.tolist():
-        if not math.isfinite(v) or v < -WEIGHT_TOL:
+        if not math.isfinite(v) or v < -CONTRACT_TOL:
             raise WeightSumInvalid(f"{what} contain the entry {v!r}, negative or non-finite")
     w = np.maximum(w, 0.0)
     with np.errstate(over="ignore"):  # a sum past float64's range is inf and fails below
         total = float(w.sum())
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise WeightSumInvalid(f"{what} sum to {total!r}, off unity by {abs(total - 1.0):.3e}")
+    _require_unit(total, f"{what} sum to", WeightSumInvalid)
     return w
+
+
+def _require_unit(value: float, label: str, error: type[ValidationError]) -> None:
+    """Raise `error`, naming `label`, `value` and its gap from 1, unless `value` is 1 within CONTRACT_TOL."""
+    if abs(value - 1.0) > CONTRACT_TOL:
+        raise error(f"{label} {value!r}, off unity by {abs(value - 1.0):.3e}")
 
 
 def _as_square_complex(matrix) -> np.ndarray:
@@ -91,10 +104,7 @@ class PureState:
             raise ValidationError("amplitudes contain non-finite entries")
         with np.errstate(over="ignore"):  # an inf norm fails below
             norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValidationError(
-                f"squared norm is {norm_sq!r}, off unity by {abs(norm_sq - 1.0):.3e}"
-            )
+        _require_unit(norm_sq, "squared norm is", ValidationError)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -125,11 +135,11 @@ def _projector(amplitudes: np.ndarray) -> np.ndarray:
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite matrix.
 
-    Construction validates all three properties (tolerances 1e-9) and stores
-    an exactly hermitized, read-only copy with its eigenvalues, descending and
-    read-only, as ``spectrum``. No eigenvalue, and so no diagonal entry, is
-    below -PSD_TOL; the entropy functions rely on that and do not check it
-    again. Qubit entries are reachable as ``x``
+    Construction validates all three properties within CONTRACT_TOL and
+    stores an exactly hermitized, read-only copy with its eigenvalues,
+    descending and read-only, as ``spectrum``. No eigenvalue, and so no
+    diagonal entry, is below -CONTRACT_TOL; the entropy functions rely on
+    that and do not check it again. Qubit entries are reachable as ``x``
     (top-left), ``y`` (bottom-right) and ``a`` (upper off-diagonal).
     """
 
@@ -142,19 +152,17 @@ class DensityOperator:
             herm_dev = float(np.max(np.abs(m - m.conj().T)))
             m = _hermitian_part(m)
             trace = float(np.trace(m).real)
-        if herm_dev > HERMITIAN_TOL:
+        if herm_dev > CONTRACT_TOL:
             raise NotHermitian(
-                f"max |M - M^H| entry is {herm_dev:.3e}, above tolerance {HERMITIAN_TOL:.0e}"
+                f"max |M - M^H| entry is {herm_dev:.3e}, above tolerance {CONTRACT_TOL:.0e}"
             )
-        trace_dev = abs(trace - 1.0)
-        if trace_dev > TRACE_TOL:
-            raise TraceNotOne(f"trace is {trace!r}, off unity by {trace_dev:.3e}")
+        _require_unit(trace, "trace is", TraceNotOne)
         if not np.isfinite(m).all():  # LAPACK would give NaN eigenvalues, which pass the check below
             raise NotPositiveSemidefinite("Hermitian part overflows: an entry is past float64's range")
         spectrum = _eigvalsh_descending(m)
-        if spectrum[-1] < -PSD_TOL:
+        if spectrum[-1] < -CONTRACT_TOL:
             raise NotPositiveSemidefinite(
-                f"smallest eigenvalue is {spectrum[-1]:.3e}, below -{PSD_TOL:.0e}"
+                f"smallest eigenvalue is {spectrum[-1]:.3e}, below -{CONTRACT_TOL:.0e}"
             )
         m.setflags(write=False)
         spectrum.setflags(write=False)
@@ -216,9 +224,8 @@ class SpectralDecomposition:
 def make_density(matrix) -> DensityOperator:
     """Validate a raw matrix into a DensityOperator.
 
-    Asymmetry up to 1e-9 is repaired by averaging with the conjugate
-    transpose; anything larger raises NotHermitian. Trace and positivity are
-    enforced at the same 1e-9 tolerances.
+    Asymmetry up to CONTRACT_TOL is averaged away with the conjugate transpose;
+    anything larger raises NotHermitian. Trace and positivity hold within it too.
     """
     return DensityOperator(matrix)
 

@@ -28,6 +28,9 @@ MALFORMED_FILES = {
     "int-past-digit-limit": ('{"kind": "density", "re": [[' + "1" * 5000 + ", 0], [0, 0]]}").encode(),
     "nested-100k-deep": b'{"kind": "density", "re": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
     "utf16-bom": b"\xff\xfe{\x00}\x00",
+    # Python's json reads NaN and Infinity as floats; the matrix check rejects them.
+    "nan-entry": b'{"kind": "density", "re": [[NaN, 0], [0, 1]]}',
+    "infinity-entry": b'{"kind": "density", "re": [[Infinity, 0], [0, 1]]}',
 }
 
 

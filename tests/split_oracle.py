@@ -14,17 +14,10 @@ import math
 
 import numpy as np
 
-from qentropy.ensembles import (
-    BOUND_SLACK,
-    NEGLIGIBLE_OFFDIAG,
-    POINT_INTERVAL,
-    MixedPureSplit,
-    _offdiag_polar,
-    pure_weight_bounds,
-)
+from qentropy.ensembles import MixedPureSplit, _offdiag_polar, pure_weight_bounds
 from qentropy.entropy import composite
 from qentropy.errors import NoValidSplit
-from qentropy.linalg import WEIGHT_TOL, DensityOperator, PureState
+from qentropy.linalg import CONTRACT_TOL, NEGLIGIBLE_OFFDIAG, ROUNDING_SLACK, DensityOperator, PureState
 
 
 def all_mixed(op: DensityOperator) -> MixedPureSplit:
@@ -43,7 +36,7 @@ def one_pure_split(
     diagonal would go negative.
     """
     ratio = 2.0 * r / p2
-    if ratio > 1.0 + BOUND_SLACK:
+    if ratio > 1.0 + ROUNDING_SLACK:
         raise NoValidSplit(
             f"pure weight {p2:.6g} is below twice the off-diagonal magnitude {2.0 * r:.6g}"
         )
@@ -53,7 +46,7 @@ def one_pure_split(
     u2, v2 = (big, small) if heavy_index == 0 else (small, big)
     num0 = x - p2 * u2
     num1 = y - p2 * v2
-    if num0 < -WEIGHT_TOL or num1 < -WEIGHT_TOL:
+    if num0 < -CONTRACT_TOL or num1 < -CONTRACT_TOL:
         raise NoValidSplit(
             f"mixed diagonal would be negative: ({num0:.6g}, {num1:.6g}) at p2 = {p2:.6g}"
         )
@@ -62,7 +55,7 @@ def one_pure_split(
     clamped0 = max(num0, 0.0)
     clamped1 = max(num1, 0.0)
     total = clamped0 + clamped1
-    if mixed_weight < NEGLIGIBLE_OFFDIAG or total <= 0.0:
+    if mixed_weight < ROUNDING_SLACK or total <= 0.0:
         return MixedPureSplit(0.0, np.array([0.5, 0.5]), ((1.0, pure),))
     diagonal = np.array([clamped0, clamped1]) / total
     return MixedPureSplit(mixed_weight, diagonal, ((p2, pure),))
@@ -82,7 +75,7 @@ def enumerate_splits(op: DensityOperator, count: int) -> list[MixedPureSplit]:
     if r <= NEGLIGIBLE_OFFDIAG:
         return [all_mixed(op) for _ in range(count)]
     lo, hi = pure_weight_bounds(op)
-    if hi - lo < POINT_INTERVAL or count == 1:
+    if hi - lo < ROUNDING_SLACK or count == 1:
         grid = np.array([lo])
     else:
         grid = np.linspace(lo, hi, count)

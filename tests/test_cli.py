@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 
 import qentropy as q
 from qentropy import cli, ensembles, entropy, game, inputs, linalg
-from qentropy.entropy import RECONSTRUCTION_TOL
 from qentropy.inputs import KINDS, load_document
-from qentropy.linalg import MAX_GRID_POINTS
+from qentropy.linalg import MAX_GRID_POINTS, RECONSTRUCTION_TOL
 
 import split_oracle
 from conftest import MALFORMED_FILES, QUBIT_EDGE_CASES, qubit_density_matrices
@@ -73,6 +72,14 @@ class TestEntropyCommand:
         assert parsed_value(out, "s_n") == 0.0
         assert parsed_value(out, "s_p") == 0.0
         assert "s_ci" not in out
+
+    def test_qubit_without_balanced_split_prints_no_composite(self, capsys, tmp_path):
+        # |a| = 0.29 is above x = 0.1, so no balanced split exists: s_n and s_i only.
+        doc = tmp_path / "no_split.json"
+        doc.write_text(json.dumps({"kind": "density", "re": [[0.1, 0.29], [0.29, 0.9]]}))
+        code, out, _ = run(capsys, "entropy", "--input", str(doc))
+        assert code == 0
+        assert [line.split(" = ")[0] for line in out.splitlines()] == ["matrix", "s_n", "s_i"]
 
     def test_qubit_spec_echoes_assembled_matrix(self, capsys):
         code, out, _ = run(capsys, "entropy", "--input", str(INPUTS / "three_preparation.json"))
@@ -131,6 +138,13 @@ class TestEntropyCommand:
         code, _, err = run(capsys, "entropy", "--input", str(bad))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["nan-entry", "infinity-entry"])
+    def test_non_finite_density_exits_2(self, capsys, tmp_path, name):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(MALFORMED_FILES[name])
+        code, out, err = run(capsys, "entropy", "--input", str(bad))
+        assert (code, out, err) == (2, "", "error: ValidationError: matrix contains non-finite entries\n")
 
     def test_invalid_density_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "indefinite.json"
@@ -546,7 +560,7 @@ class TestPrintColumns:
         assert run(capsys, "theorem-scan")[0] == 0
         scan = q.ordering_scan()
         floats = (scan.p0, scan.p1, scan.p2, scan.u_squared, scan.s_n, scan.s_ci, scan.s_i)
-        assert len(calls) == sum(np.unique(c.view(np.int64)).size for c in floats) == 1992
+        assert len(calls) == sum(np.unique(c.view(np.int64)).size for c in floats) == 1989
 
 
 @pytest.mark.parametrize(

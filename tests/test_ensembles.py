@@ -73,6 +73,11 @@ class TestQubitEnsembleSpec:
         with pytest.raises(q.ValidationError):
             q.QubitEnsembleSpec(0.5, 0.5, 0.0, 0.9, 0.6)
 
+    @pytest.mark.parametrize("u, v", [(math.nan, 0.0), (1.0, math.inf)])
+    def test_rejects_non_finite_amplitude(self, u, v):
+        with pytest.raises(q.ValidationError, match="^amplitudes must be finite$"):
+            q.QubitEnsembleSpec(0.5, 0.5, 0.0, u, v)
+
     def test_from_u_squared_rejects_out_of_range(self):
         with pytest.raises(q.ValidationError):
             q.QubitEnsembleSpec.from_u_squared(0.5, 0.5, 0.0, 1.5)
@@ -533,7 +538,7 @@ class TestSplitKernel:
         p2 = max(fraction, 5e-324)
         assert outcome(q.split_family, op, p2) == outcome(split_oracle.split_at, op, p2)
         r = abs(op.a)
-        if r > ensembles.NEGLIGIBLE_OFFDIAG and min(op.x, op.y) <= r:
+        if r > linalg.NEGLIGIBLE_OFFDIAG and min(op.x, op.y) <= r:
             with pytest.raises(q.NoValidSplit, match="balanced split needs"):
                 q.symmetric_split(op)
         else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qentropy as q
-from qentropy.entropy import ORDERING_SLACK, _closed_form_bits, _entropy_bits, grid
+from qentropy.entropy import _closed_form_bits, _entropy_bits, grid
+from qentropy.inputs import load_document
+from qentropy.linalg import ROUNDING_SLACK, SNAP_ULPS
 
 from conftest import random_density_matrix, random_pure_amplitudes
 
 EXAMPLE = np.array([[0.7, 0.2], [0.2, 0.3]])
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 
 def binary_entropy(p: float) -> float:
@@ -46,7 +50,7 @@ class TestShannon:
 
     def test_tiny_negative_clamped(self):
         assert q.shannon(np.array([1.0, -1e-13])) == 0.0
-        # The floor is WEIGHT_TOL, as for mixture weights.
+        # The floor is CONTRACT_TOL, as for mixture weights.
         assert q.shannon(np.array([1.0, -5e-10])) == 0.0
 
     def test_rejects_negative(self):
@@ -91,9 +95,29 @@ class TestVonNeumann:
         assert value == pytest.approx(0.650, abs=1e-3)
 
     def test_pure_states_have_zero_entropy(self, rng):
-        for dim in (2, 3, 4):
-            state = q.PureState(random_pure_amplitudes(rng, dim))
-            assert q.von_neumann(q.outer_product(state)) <= 1e-9
+        # A rank-1 spectrum lands a few ulp from (1, 0, ..., 0); the snap rule makes it exactly 0.
+        for dim in range(2, 33):
+            for _ in range(5):
+                state = q.PureState(random_pure_amplitudes(rng, dim))
+                assert q.von_neumann(q.outer_product(state)) == 0.0
+
+    def test_pure_documents_have_zero_entropy(self):
+        docs = [load_document(path) for path in sorted(INPUTS.glob("*.json"))]
+        states = [doc.payload for doc in docs if doc.kind == "pure"]
+        assert len(states) == 3
+        for state in states:
+            assert q.report(q.outer_product(state)).s_n == 0.0
+
+    def test_snap_width_grows_with_length(self):
+        # Entries within SNAP_ULPS * n * eps of 0 or 1 give a zero term, entries past it their own.
+        eps = np.finfo(np.float64).eps
+        for n in (2, 32):
+            width = SNAP_ULPS * n * eps
+            assert _entropy_bits(np.array([1.0 - width, width, *[0.0] * (n - 2)])) == 0.0
+            outside = np.array([1.0 - 2.0 * width, 2.0 * width, *[0.0] * (n - 2)])
+            assert _entropy_bits(outside) > 0.0
+            assert _entropy_bits(outside[None, :])[0] == _entropy_bits(outside)
+        assert _entropy_bits(np.array([1.0 + 1e-10, 0.0])) == 0.0
 
     def test_maximally_mixed_hits_log_dim(self):
         for dim in (2, 3, 4):
@@ -116,7 +140,7 @@ class TestVonNeumann:
     ],
 )
 def test_measures_clamp_tolerated_negatives(matrix):
-    # Smallest eigenvalue in (-PSD_TOL, 0): the operator is accepted, and its
+    # Smallest eigenvalue in (-CONTRACT_TOL, 0): the operator is accepted, and its
     # measures trust it, equalling shannon of the clamped vectors.
     op = q.make_density(matrix)
     assert -1e-9 < op.spectrum[-1] < 0.0
@@ -128,7 +152,7 @@ def test_measures_clamp_tolerated_negatives(matrix):
 @given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_entropies_are_nonnegative_exactly(dim, seed):
     # Rank-1 projectors have LAPACK eigenvalues a few ulp from 0 and 1; the
-    # kernel's clip to [0, 1] keeps every measure at or above 0.0 anyway.
+    # kernel's snap to 0 and 1 keeps every measure at or above 0.0 anyway.
     rng = np.random.default_rng(seed)
     for _ in range(5):
         state = q.PureState(random_pure_amplitudes(rng, dim))
@@ -228,6 +252,11 @@ class TestCompositeClosedForm:
     def test_rejects_negative_a(self):
         with pytest.raises(q.DomainViolation):
             q.composite_closed_form(0.7, 0.3, -0.1)
+
+    @pytest.mark.parametrize("x, y, a", [(math.nan, 0.5, 0.1), (0.5, 0.5, math.inf)])
+    def test_rejects_non_finite(self, x, y, a):
+        with pytest.raises(q.DomainViolation, match="^arguments must be finite$"):
+            q.composite_closed_form(x, y, a)
 
     def test_rejects_domain_edge(self):
         with pytest.raises(q.DomainViolation):
@@ -352,7 +381,7 @@ class TestOrderingScan:
         # weights. A solver defect breaks this; the family's real left violations do not.
         scan = q.ordering_scan()
         for p0, p1, p2, s_n in zip(*(c.tolist() for c in (scan.p0, scan.p1, scan.p2, scan.s_n))):
-            assert s_n <= q.shannon([p0, p1, p2]) + ORDERING_SLACK
+            assert s_n <= q.shannon([p0, p1, p2]) + ROUNDING_SLACK
 
     def test_example_point_holds_both(self):
         scan = q.ordering_scan(p_step=0.05, u2_step=0.1)
@@ -378,6 +407,12 @@ class TestOrderingScan:
         assert not scan.holds_left[k]
         assert scan.holds_right[k]
         assert k in np.flatnonzero(~scan.holds_left)
+
+    def test_pure_rows_have_zero_entropy(self):
+        scan = q.ordering_scan()
+        pure = scan.p2 == 1.0
+        assert np.count_nonzero(pure) == 11
+        assert np.all(scan.s_n[pure] == 0.0)
 
     def test_majorization_inside_records(self):
         scan = q.ordering_scan(p_step=0.2, u2_step=0.25)

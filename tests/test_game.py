@@ -76,6 +76,10 @@ class TestReceiverState:
             oracle = q.mix(((1.0 - weight, q.sender_state(lam)), (weight, q.outer_product(injected))))
             assert np.array_equal(q.receiver_state(config).matrix, oracle.matrix)
 
+    def test_config_rejects_injected_that_is_no_state(self):
+        with pytest.raises(q.ValidationError, match="^injected must be a PureState, got ndarray$"):
+            q.GameConfig(0.5, injected=np.array([1.0, 0.0]))
+
     def test_config_rejects_bad_injected(self):
         with pytest.raises(q.ValidationError):
             q.GameConfig(0.5, injected=q.PureState(np.array([1.0, 0.0, 0.0])))

@@ -152,7 +152,7 @@ class TestMix:
             q.mix([(1.5, op), (-0.5, op)])
 
     def test_clamps_weight_within_tolerance(self):
-        # -5e-10 lies inside WEIGHT_TOL: it counts as 0, as in every other weight check
+        # -5e-10 lies inside CONTRACT_TOL: it counts as 0, as in every other weight check
         op = q.make_density(EXAMPLE)
         other = q.make_density(np.eye(2) / 2.0)
         combined = q.mix([(1.0 + 5e-10, op), (-5e-10, other)])
@@ -182,6 +182,27 @@ class TestCheckWeights:
     def test_rejects_and_names_the_vector(self, weights):
         with pytest.raises(q.WeightSumInvalid, match="^split weights "):
             check_weights(weights, "split weights")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: check_weights([0.5, 0.6], "w"), q.WeightSumInvalid, "w sum to 1.1, off unity by 1.000e-01"),
+        (lambda: q.PureState(np.array([1.0, 0.5])), q.ValidationError, "squared norm is 1.25, off unity by 2.500e-01"),
+        (lambda: q.make_density(np.diag([0.6, 0.5])), q.TraceNotOne, "trace is 1.1, off unity by 1.000e-01"),
+        (
+            lambda: q.QubitEnsembleSpec(0.5, 0.5, 0.0, 1.0, 0.5),
+            q.ValidationError,
+            "u^2 + v^2 = 1.25, off unity by 2.500e-01",
+        ),
+        (lambda: q.composite_closed_form(0.6, 0.5, 0.1), q.DomainViolation, "x + y = 1.1, off unity by 1.000e-01"),
+    ],
+    ids=["weights", "norm", "trace", "amplitudes", "closed-form"],
+)
+def test_off_unity_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
 
 
 class TestEig2ClosedForm:
