@@ -50,10 +50,12 @@ def _fmt_matrix(matrix: np.ndarray) -> str:
 
 
 def _column_cells(column: np.ndarray) -> list[str]:
-    # The column's cells. _fmt runs once per distinct float64 bit pattern, not value:
-    # -0.0 == 0.0 but they print as "-0" and "0", and NaN is unequal to itself.
+    # The column's cells. _fmt runs once per distinct float64 bit pattern within a block, not
+    # per distinct value: -0.0 == 0.0 but they print as "-0" and "0", and NaN is unequal to itself.
     if column.dtype == bool:
         return np.where(column, "true", "false").tolist()
+    if column.dtype.kind in "iu":  # str(k) at any size, where _fmt would print 1e+06
+        return column.astype(str).tolist()
     if np.iscomplexobj(column):  # the real part alone where the imaginary part is zero
         imag = column.imag
         signs, is_real = np.where(imag > 0.0, "+", "-").tolist(), (imag == 0.0).tolist()
@@ -66,12 +68,19 @@ def _column_cells(column: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _print_columns(header: list[str], columns) -> None:
-    # One CSV line per entry of the array columns, each float formatted once per distinct bit
-    # pattern; header and rows go out in one write to the sys.stdout of the moment, so
-    # redirect_stdout captures them.
-    rows = map(",".join, zip(*map(_column_cells, columns)))
-    sys.stdout.write("\n".join([",".join(header), *rows]) + "\n")
+# Rows formatted and written per write: past the largest default or benchmark table (2.7k rows),
+# so those are one block, while a capped table's text is never held whole.
+_BLOCK_ROWS = 8192
+
+
+def _print_columns(header: list[str], columns, row=",".join) -> None:
+    # The header line, then one line (or record) per entry of the array columns, made by `row`
+    # from that entry's cells. Each block of _BLOCK_ROWS entries is one write to the sys.stdout of
+    # the moment, so redirect_stdout captures it.
+    sys.stdout.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = (_column_cells(c[start:start + _BLOCK_ROWS]) for c in columns)
+        sys.stdout.write("\n".join(map(row, zip(*cells))) + "\n")
 
 
 def _document_operator(doc: InputDocument) -> DensityOperator:
@@ -105,25 +114,16 @@ def cmd_entropy(args) -> int:
             split = None
     rep = report(op, split)
 
+    values = {"s_n": rep.s_n, "s_i": rep.s_i, "s_p": s_p, "s_ci": rep.s_ci, "pure_share": rep.pure_share}
+    cells = {name: _fmt(value) for name, value in values.items() if value is not None}
     if args.csv:
-        print(",".join(["s_n", "s_i", "s_ci", "pure_share", "s_p"]))
-        cells = [
-            _fmt(rep.s_n),
-            _fmt(rep.s_i),
-            _fmt(rep.s_ci) if rep.s_ci is not None else "",
-            _fmt(rep.pure_share) if rep.pure_share is not None else "",
-            _fmt(s_p) if s_p is not None else "",
-        ]
-        print(",".join(cells))
+        names = ["s_n", "s_i", "s_ci", "pure_share", "s_p"]
+        print(",".join(names))
+        print(",".join(cells.get(name, "") for name in names))
         return 0
     print(f"matrix = {_fmt_matrix(op.matrix)}")
-    print(f"s_n = {_fmt(rep.s_n)}")
-    print(f"s_i = {_fmt(rep.s_i)}")
-    if s_p is not None:
-        print(f"s_p = {_fmt(s_p)}")
-    if rep.s_ci is not None:
-        print(f"s_ci = {_fmt(rep.s_ci)}")
-        print(f"pure_share = {_fmt(rep.pure_share)}")
+    for name, cell in cells.items():
+        print(f"{name} = {cell}")
     return 0
 
 
@@ -137,25 +137,22 @@ def cmd_decompose(args) -> int:
         print("no valid splits in the sampled range", file=sys.stderr)
         return 0
     s_ci, _ = _composite_rows(family.mixed_weight, family.diag, ((family.pure_weight, family.amps),))
-    columns = (family.pure_weight, family.mixed_weight, family.diag[:, 0], family.diag[:, 1], family.amps[:, 0],
-               family.amps[:, 1], family.residual(op.matrix), s_ci)
-    rows = zip(range(1, s_ci.size + 1), (family.pure_weight > 0.0).tolist(), *map(_column_cells, columns))
+    columns = (np.arange(1, s_ci.size + 1), family.pure_weight, family.mixed_weight, family.diag[:, 0],
+               family.diag[:, 1], family.amps[:, 0], family.amps[:, 1], family.residual(op.matrix), s_ci)
+    # A family's rows all have a pure part or none do (_family drops it only for a negligible
+    # off-diagonal), so one row form serves the whole run.
+    pure = family.pure_weight[0] > 0.0
     if args.csv:
-        lines = (
-            f"{k},{w},{m},{d0},{d1},{a0 if pure else ''},{a1 if pure else ''},{r},{s}\n"
-            for k, pure, w, m, d0, d1, a0, a1, r, s in rows
-        )
-        header = "index,pure_weight,mixed_weight,mixed_d0,mixed_d1,amp0,amp1,residual,s_ci"
+        header = ["index,pure_weight,mixed_weight,mixed_d0,mixed_d1,amp0,amp1,residual,s_ci"]
+        template = "{0},{1},{2},{3},{4}," + ("{5},{6}" if pure else ",") + ",{7},{8}"
     else:
-        lines = (
-            f"split {k}:\n  mixed_weight = {m}\n  mixed_diagonal = ({d0}, {d1})\n  "
-            + (f"pure: weight = {w}, amplitudes = ({a0}, {a1})" if pure else "pure: none")
-            + f"\n  residual = {r}\n  s_ci = {s}\n"
-            for k, pure, w, m, d0, d1, a0, a1, r, s in rows
+        header = [f"matrix = {_fmt_matrix(op.matrix)}"]
+        template = (
+            "split {0}:\n  mixed_weight = {2}\n  mixed_diagonal = ({3}, {4})\n  "
+            + ("pure: weight = {1}, amplitudes = ({5}, {6})" if pure else "pure: none")
+            + "\n  residual = {7}\n  s_ci = {8}"
         )
-        header = f"matrix = {_fmt_matrix(op.matrix)}"
-    sys.stdout.write(header + "\n")
-    sys.stdout.writelines(lines)  # row by row, so the whole report is never one string in memory
+    _print_columns(header, columns, lambda cells: template.format(*cells))
     return 0
 
 

@@ -191,7 +191,8 @@ def holevo_quantity(ensemble: Ensemble) -> HolevoReport:
     """Holevo quantity of an ensemble.
 
     chi = S_n(average state) - sum of weighted component entropies. Pure
-    components contribute exactly zero to the sum.
+    components contribute exactly zero to the sum. chi >= 0 (Holevo 1973),
+    so a difference that rounding takes below 0 is 0.
     """
     s_mix = von_neumann(assemble_general(ensemble))
     avg = 0.0
@@ -199,7 +200,7 @@ def holevo_quantity(ensemble: Ensemble) -> HolevoReport:
         if comp.is_pure:
             continue
         avg += comp.weight * von_neumann(comp.state)
-    return HolevoReport(chi=s_mix - avg, s_mix=s_mix, avg_component_entropy=avg)
+    return HolevoReport(chi=max(s_mix - avg, 0.0), s_mix=s_mix, avg_component_entropy=avg)
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,7 +45,7 @@ SNAP_ULPS = 4
 
 # Most points one command's grid, or split sample, may have: ~40x the largest
 # default or benchmark grid (2.7k), so no run takes much over 30 s; the largest
-# `decompose --count` peaks near 100.3 MB of RSS (ROADMAP item 3 would bound it).
+# `decompose --count` peaks near 76 MB of RSS (ROADMAP item 3 would bound it).
 MAX_GRID_POINTS = 100_000
 
 

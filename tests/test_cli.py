@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -501,13 +504,16 @@ class TestTheoremScanCommand:
         assert flags <= {"true", "false"}
 
 
+def _reference_cell(dtype, value) -> str:
+    if dtype == bool:
+        return "true" if value else "false"
+    return str(value) if dtype.kind == "i" else cli._fmt(value)
+
+
 def _print_columns_reference(header, columns) -> str:
     # The cell-by-cell route: _fmt on every float, one print per line.
     out = io.StringIO()
-    cells = [
-        [("true" if v else "false") if c.dtype == bool else cli._fmt(v) for v in c.tolist()]
-        for c in columns
-    ]
+    cells = [[_reference_cell(c.dtype, v) for v in c.tolist()] for c in columns]
     with redirect_stdout(out):
         print(",".join(header))
         for row in zip(*cells):
@@ -527,8 +533,12 @@ def _tables(draw):
     rows = draw(st.integers(0, 40))
     columns = []
     for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["bool", "int", "float"]))
+        if kind == "bool":
             columns.append(np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool))
+        elif kind == "int":
+            ints = st.integers(-(2**63), 2**63 - 1)
+            columns.append(np.array(draw(st.lists(ints, min_size=rows, max_size=rows)), dtype=np.int64))
         else:
             pool = draw(_CELL_POOLS)
             picks = draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
@@ -536,17 +546,43 @@ def _tables(draw):
     return [f"c{k}" for k in range(len(columns))], columns
 
 
+class _Discard:
+    """A stdout that keeps nothing, so only the writer's own memory is measured."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
 class TestPrintColumns:
+    # A block of 3 rows splits most drawn tables, and lets a block end on the last row.
+    @pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 3])
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(table=_tables())
     @example(table=(["x", "flag"], [np.array([0.0, -0.0, math.nan, -math.nan, 0.0]), np.zeros(5, dtype=bool)]))
     @example(table=(["x", "flag"], [np.array([]), np.array([], dtype=bool)]))
-    def test_equals_the_per_cell_route(self, table):
+    @example(table=(["k"], [np.array([1, 999_999, 1_000_000, -(2**63)])]))
+    def test_equals_the_per_cell_route(self, block_rows, table):
         header, columns = table
         out = io.StringIO()
-        with redirect_stdout(out):
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows), redirect_stdout(out):
             cli._print_columns(header, columns)
         assert out.getvalue() == _print_columns_reference(header, columns)
+
+    def test_memory_does_not_grow_with_the_row_count(self):
+        # Each block of rows is formatted and written before the next, so five times the rows
+        # take no more memory; a whole-table string took 35.0 MB at 81,920 rows against 7.0 MB.
+        rng = np.random.default_rng(7)
+        peaks = []
+        for rows in (16_384, 81_920):
+            columns = [rng.uniform(size=rows) for _ in range(5)]
+            tracemalloc.start()
+            try:
+                with redirect_stdout(_Discard()):
+                    cli._print_columns([f"c{k}" for k in range(5)], columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_theorem_scan_formats_each_distinct_float_once(self, capsys, monkeypatch):
         calls = []
@@ -563,12 +599,40 @@ class TestPrintColumns:
         assert len(calls) == sum(np.unique(c.view(np.int64)).size for c in floats) == 1989
 
 
+# Tables longer than one block: stdout digests recorded from the whole-table writer, so the
+# block writer must give the same bytes.
+_MULTI_BLOCK_DIGESTS = {
+    ("decompose", "--csv", "--count", "20000", "--input", "mixed_qubit.json"): "82f90d26a63bf7691429abb9b609ade0",
+    ("decompose", "--count", "20000", "--input", "complex_offdiag_qubit.json"): "1cb2cf4c459182c20359121eb4b8c83f",
+    # every row all mixed: the CSV rows leave amp0 and amp1 empty
+    ("decompose", "--csv", "--count", "20000", "--input", "maximally_mixed.json"): "6baf332351ca0199729fe419ba0f2c80",
+    ("theorem-scan", "--step", "0.02", "--u2-step", "0.02"): "a52bfc01c3b9c51d0bc6bceb3cdd1fd0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_MULTI_BLOCK_DIGESTS), ids=lambda argv: "-".join(argv[:2] + argv[-1:]))
+def test_multi_block_stdout_is_unchanged(argv):
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    out = Recording()
+    command = [str(INPUTS / arg) if arg.endswith(".json") else arg for arg in argv]
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert cli.main(command) == 0
+    assert len(writes) >= 3, writes  # the header and at least two blocks
+    assert hashlib.md5(out.getvalue().encode()).hexdigest() == _MULTI_BLOCK_DIGESTS[argv]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        # one write of ~3.8 MB, far past the pipe buffer
+        # ~3.8 MB in nine blocks of up to 8,192 rows, far past the pipe buffer
         ("theorem-scan", "--step", "0.02", "--u2-step", "0.02"),
-        # ~180 kB written line by line, so a later write meets the closed pipe
+        # the header, then ~180 kB in one block, past the pipe buffer, so that write meets the closed pipe
         ("decompose", "--input", str(INPUTS / "mixed_qubit.json"), "--count", "1000"),
     ],
     ids=["theorem-scan", "decompose"],

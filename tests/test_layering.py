@@ -3,7 +3,8 @@
 Each module may import only from modules before it in ``ORDER``, function
 bodies included, so no import cycle can form and no function has to defer an
 import to run time. ``__init__`` re-exports everything and is exempt. A second
-test holds every tolerance in one table at the top of ``linalg``.
+test holds every tolerance in one table at the top of ``linalg``, and a third
+keeps ``cli._print_columns`` the one writer of tables.
 """
 
 from __future__ import annotations
@@ -58,3 +59,25 @@ def test_tolerances_live_in_one_table():
     loads = (node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Name))
     unread = set(TOLERANCES) - {node.id for node in loads if isinstance(node.ctx, ast.Load)}
     assert not unread, f"no module reads {sorted(unread)}"
+
+
+def test_cli_writes_tables_in_one_place():
+    # print() is for the few lines a command reports; whatever goes to sys.stdout.write or
+    # writelines goes through _print_columns, so every table is written one way.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    writer = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_print_columns")
+
+    def stdout_writes(root):
+        return [
+            node.lineno
+            for node in ast.walk(root)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("write", "writelines")
+            and ast.unparse(node.func.value) == "sys.stdout"
+        ]
+
+    inside = stdout_writes(writer)
+    assert inside, "_print_columns no longer writes to sys.stdout"
+    outside = sorted(set(stdout_writes(tree)) - set(inside))
+    assert not outside, f"cli.py writes to sys.stdout outside _print_columns, at lines {outside}"
