@@ -82,10 +82,6 @@ class Ensemble:
                 raise DimensionMismatch(f"component dims differ: {c.dim} vs {dim}")
         object.__setattr__(self, "components", comps)
 
-    @property
-    def dim(self) -> int:
-        return self.components[0].dim
-
 
 @dataclass(frozen=True)
 class QubitEnsembleSpec:
@@ -134,15 +130,6 @@ class QubitEnsembleSpec:
         *_, mixed_weight, diagonal = _three_preparations(self.p0, self.p1, self.p2, self.u, self.v)
         pures = ((self.p2, self.superposed()),) if self.p2 > 0.0 else ()
         return MixedPureSplit(mixed_weight[0], diagonal[0], pures)
-
-    def to_ensemble(self) -> Ensemble:
-        return Ensemble(
-            (
-                EnsembleComponent(self.p0, PureState(np.array([1.0, 0.0]))),
-                EnsembleComponent(self.p1, PureState(np.array([0.0, 1.0]))),
-                EnsembleComponent(self.p2, self.superposed()),
-            )
-        )
 
 
 def _three_preparations(p0, p1, p2, u, v) -> tuple[np.ndarray, ...]:

@@ -50,11 +50,6 @@ class GameConfig:
             if self.injected.dim != 2:
                 raise ValidationError(f"injected state must be a qubit, got dim {self.injected.dim}")
 
-    def injected_state(self) -> PureState:
-        if self.injected is not None:
-            return self.injected
-        return PureState(np.array([math.sqrt(1.0 - self.lam), math.sqrt(self.lam)]))
-
 
 def sender_state(lam: float) -> DensityOperator:
     """The prepared diagonal state diag(lam, 1-lam)."""
@@ -64,9 +59,11 @@ def sender_state(lam: float) -> DensityOperator:
 
 def receiver_state(config: GameConfig) -> DensityOperator:
     """Sender state after the injection: (1-q) rho_A + q |inj><inj|, summed unchecked."""
-    q, lam = config.injection_weight, config.lam
+    q, lam, injected = config.injection_weight, config.lam, config.injected
+    if injected is None:
+        injected = PureState(np.array([math.sqrt(1.0 - lam), math.sqrt(lam)]))
     sender = np.diag([lam, 1.0 - lam])
-    return DensityOperator(_mix(((1.0 - q, sender), (q, config.injected_state().projector()))))
+    return DensityOperator(_mix(((1.0 - q, sender), (q, injected.projector()))))
 
 
 def _default_game(lam):

@@ -8,8 +8,8 @@ is the one check for mixture weights, and ``mix`` the checked route to
 stack. It and ``_projector`` end in ``_hermitian_part``, the one (M + M^H) / 2.
 LAPACK is the one eigensolver: ``numpy.linalg.eigvalsh`` gives each operator's
 spectrum when it is built, ``numpy.linalg.eigh`` the eigenvectors of
-``eig_hermitian``. The tests check both, and the 2x2 closed form, against a
-cyclic Jacobi routine of their own.
+``eig_hermitian``. The tests check both against a cyclic Jacobi routine of
+their own.
 """
 
 from __future__ import annotations
@@ -202,23 +202,14 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues in descending order with matching orthonormal eigenstates."""
+    """Eigenvalues in descending order and a unitary whose columns are their eigenvectors."""
 
     eigenvalues: np.ndarray
-    eigenvectors: tuple[PureState, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def basis_matrix(self) -> np.ndarray:
-        """Eigenvectors as columns of a unitary matrix."""
-        return np.column_stack([s.amplitudes for s in self.eigenvectors])
+    eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue-weighted projectors, as a raw matrix."""
-        u = self.basis_matrix()
-        return (u * self.eigenvalues) @ u.conj().T
+        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
 def make_density(matrix) -> DensityOperator:
@@ -256,13 +247,6 @@ def mix(components) -> DensityOperator:
     return DensityOperator(_mix(zip(weights, (op.matrix for _, op in pairs))))
 
 
-def eig2_closed_form(op: DensityOperator) -> tuple[float, float]:
-    """Qubit eigenvalues 1/2 +- sqrt(((x-y)/2)^2 + |a|^2), descending."""
-    op._require_qubit()
-    half_gap = math.hypot(0.5 * (op.x - op.y), abs(op.a))
-    return (0.5 + half_gap, 0.5 - half_gap)
-
-
 def _offdiag_norm(a: np.ndarray) -> float:
     # Frobenius norm of the off-diagonal entries of a matrix, or of a whole stack of them.
     off = a.copy()
@@ -296,18 +280,20 @@ def eig_hermitian(op: DensityOperator) -> SpectralDecomposition:
     """Full spectral decomposition from LAPACK (``numpy.linalg.eigh``).
 
     Eigenvalues are sorted descending by the same stable sort as
-    ``op.spectrum`` and handed over read-only, with one eigenvector each;
-    they agree with the spectrum to about 1e-15 but need not be
-    bit-identical. Each eigenvector's phase, and the basis and order chosen
-    inside a degenerate eigenspace, are LAPACK's. A diagonal input gives
-    exact unit vectors; where diagonal entries tie, LAPACK may list them out
-    of their original order (diag(0.4, 0.4, 0.2) lists e1 before e0).
+    ``op.spectrum``, and the columns of LAPACK's unitary with them; both are
+    handed over read-only. The eigenvalues agree with the spectrum to about
+    1e-15 but need not be bit-identical. Each eigenvector's phase, and the
+    basis and order chosen inside a degenerate eigenspace, are LAPACK's. A
+    diagonal input gives exact unit vectors; where diagonal entries tie,
+    LAPACK may list them out of their original order (diag(0.4, 0.4, 0.2)
+    lists e1 before e0).
     """
     values, basis = _lapack(np.linalg.eigh, op.matrix)
     order = np.argsort(-values, kind="stable")
-    values = values[order]
+    values, basis = values[order], basis[:, order]
     values.setflags(write=False)
-    return SpectralDecomposition(values, tuple(PureState(basis[:, k]) for k in order))
+    basis.setflags(write=False)
+    return SpectralDecomposition(values, basis)
 
 
 def kron(left: DensityOperator, right: DensityOperator) -> DensityOperator:
@@ -318,9 +304,11 @@ def kron(left: DensityOperator, right: DensityOperator) -> DensityOperator:
 def partial_trace(ab: DensityOperator, dim_a: int, dim_b: int, keep: str) -> DensityOperator:
     """Reduced state of one factor of a bipartite operator.
 
-    `keep` selects the surviving factor, "A" or "B"; dim_a * dim_b must
-    equal the operator's dimension.
+    `keep` selects the surviving factor, "A" or "B"; dim_a and dim_b must
+    be integers, not bools, whose product is the operator's dimension.
     """
+    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in (dim_a, dim_b)):
+        raise DimensionMismatch(f"dim_a and dim_b must be integers, got {dim_a!r} and {dim_b!r}")
     if dim_a < 1 or dim_b < 1 or dim_a * dim_b != ab.dim:
         raise DimensionMismatch(
             f"dim_a * dim_b = {dim_a} * {dim_b} does not factor a dim-{ab.dim} operator"

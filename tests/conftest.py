@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import qentropy as q
+
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random full-rank density matrix via a Wishart-style construction."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def three_preparation_ensemble(spec) -> q.Ensemble:
+    """A QubitEnsembleSpec's three preparations, |0>, |1> and (u, v), as a general Ensemble."""
+    states = (q.PureState(np.array([1.0, 0.0])), q.PureState(np.array([0.0, 1.0])), spec.superposed())
+    return q.Ensemble(tuple(map(q.EnsembleComponent, (spec.p0, spec.p1, spec.p2), states)))
 
 
 def random_pure_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The package diagonalizes with LAPACK only. This routine is a different
 algorithm with high relative accuracy (Demmel & Veselic, SIAM J. Matrix Anal.
-Appl. 13, 1992), so the tests check ``op.spectrum``, ``eig_hermitian`` and
-the 2x2 closed form against it.
+Appl. 13, 1992), so the tests check ``op.spectrum`` and ``eig_hermitian``
+against it.
 """
 
 from __future__ import annotations

@@ -14,7 +14,13 @@ import qentropy as q
 from qentropy import ensembles, entropy, game, linalg
 
 import split_oracle
-from conftest import QUBIT_EDGE_CASES, qubit_density_matrices, random_density_matrix, random_pure_amplitudes
+from conftest import (
+    QUBIT_EDGE_CASES,
+    qubit_density_matrices,
+    random_density_matrix,
+    random_pure_amplitudes,
+    three_preparation_ensemble,
+)
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -92,7 +98,7 @@ class TestQubitEnsembleSpec:
             w = rng.dirichlet([1.0, 1.0, 1.0])
             spec = q.QubitEnsembleSpec.from_u_squared(w[0], w[1], w[2], rng.uniform())
             direct = q.assemble(spec)
-            generic = q.assemble_general(spec.to_ensemble())
+            generic = q.assemble_general(three_preparation_ensemble(spec))
             assert np.max(np.abs(direct.matrix - generic.matrix)) < 1e-12
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -116,7 +122,7 @@ class TestQubitEnsembleSpec:
         for _ in range(100):
             w = rng.dirichlet([1.0, 1.0, 1.0])
             spec = q.QubitEnsembleSpec.from_u_squared(w[0], w[1], w[2], rng.uniform())
-            hi, lo = q.eig2_closed_form(q.assemble(spec))
+            hi, lo = q.assemble(spec).spectrum
             expected = w[0] * w[1] + w[2] * (w[0] * spec.v**2 + w[1] * spec.u**2)
             assert hi * lo == pytest.approx(expected, abs=1e-10)
 

@@ -15,7 +15,7 @@ from qentropy.entropy import _closed_form_bits, _entropy_bits, grid
 from qentropy.inputs import load_document
 from qentropy.linalg import ROUNDING_SLACK, SNAP_ULPS
 
-from conftest import random_density_matrix, random_pure_amplitudes
+from conftest import random_density_matrix, random_pure_amplitudes, three_preparation_ensemble
 
 EXAMPLE = np.array([[0.7, 0.2], [0.2, 0.3]])
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -311,7 +311,7 @@ class TestHolevo:
 
     def test_all_pure_ensemble_equals_average_entropy(self):
         spec = q.QubitEnsembleSpec.from_u_squared(0.5, 0.1, 0.4, 0.5)
-        rep = q.holevo_quantity(spec.to_ensemble())
+        rep = q.holevo_quantity(three_preparation_ensemble(spec))
         assert rep.chi == pytest.approx(q.von_neumann(q.assemble(spec)), abs=1e-12)
         assert rep.avg_component_entropy == 0.0
 
@@ -366,6 +366,11 @@ def test_holevo_is_at_most_the_weight_entropy(dim, count, seed):
     ]
     rep = q.holevo_quantity(q.Ensemble(tuple(map(q.EnsembleComponent, weights, states))))
     assert rep.chi <= q.shannon(weights) + ROUNDING_SLACK
+    # chi = S(rho) - sum_k w_k S(rho_k) and every S(rho_k) >= 0, so chi <= S(rho) <= log2 d too.
+    operators = (q.outer_product(s) if isinstance(s, q.PureState) else s for s in states)
+    s_mix = q.von_neumann(q.mix(zip(weights, operators)))
+    assert rep.chi <= s_mix + ROUNDING_SLACK
+    assert s_mix <= math.log2(dim) + ROUNDING_SLACK
 
 
 def _point(scan: q.OrderingScan, mask: np.ndarray) -> int:
@@ -504,6 +509,23 @@ class TestOrderingProperties:
                 matrix = (1.0 - t) * edge + t * matrix
             op = q.make_density(matrix)
             assert q.von_neumann(op) <= q.informational(op) + ROUNDING_SLACK
+
+    @pytest.mark.parametrize("kind", ["full-rank", "low-rank", "maximally-mixed"])
+    def test_entropies_at_most_log2_dim(self, rng, kind):
+        # The uniform distribution maximizes the Shannon entropy, so S_i <= log2 d; S_n <= S_i.
+        dims = range(2, 9) if kind == "maximally-mixed" else rng.integers(2, 9, size=150)
+        for dim in map(int, dims):
+            if kind == "full-rank":
+                matrix = random_density_matrix(rng, dim)
+            elif kind == "low-rank":
+                rank = int(rng.integers(1, dim))
+                g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+                matrix = g @ g.conj().T / np.sum(np.abs(g) ** 2)
+            else:
+                matrix = np.eye(dim) / dim
+            op = q.make_density(matrix)
+            assert q.von_neumann(op) <= math.log2(dim) + ROUNDING_SLACK
+            assert q.informational(op) <= math.log2(dim) + ROUNDING_SLACK
 
     def test_composite_below_informational_of_the_sum(self, rng):
         # diag(rho) = m d + sum_k w_k |psi_k|^2, so concavity of the Shannon entropy gives

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import qentropy as q
 from qentropy.entropy import _entropy_bits
+from qentropy.linalg import ROUNDING_SLACK
 
 import root_oracle
 from conftest import random_pure_amplitudes
@@ -122,6 +123,20 @@ class TestEntropyGain:
     def test_zero_injection_weight_is_exactly_zero(self, rng):
         for lam in (0.0, 0.3, 0.5, float(rng.uniform()), 1.0):
             assert q.entropy_gain(q.GameConfig(lam, injection_weight=0.0)) == 0.0
+
+    def test_gain_lies_within_the_mixing_bounds(self, rng):
+        # Concavity gives S(rho_B) >= (1-q) S(rho_A), and S(sum p_k rho_k) <= sum p_k S(rho_k) + H(p)
+        # (Nielsen & Chuang Thm 11.10) gives S(rho_B) <= (1-q) S(rho_A) + h(q), since the injection
+        # is pure: the gain lies in [-q S(rho_A), h(q) - q S(rho_A)].
+        for k in range(3000):
+            lam, weight = (float(v) for v in rng.uniform(size=2))
+            if k % 10 == 0:
+                weight = float(k % 20 == 0)  # the ends, q = 1 and q = 0
+            injected = None if k % 4 == 0 else q.PureState(random_pure_amplitudes(rng, 2))
+            gain = q.entropy_gain(q.GameConfig(lam, weight, injected))
+            sender = binary_entropy(lam)
+            assert -weight * sender - ROUNDING_SLACK <= gain
+            assert gain <= binary_entropy(weight) - weight * sender + ROUNDING_SLACK
 
     def test_custom_strategy_goes_through_solver(self):
         config = q.GameConfig(0.5, injection_weight=0.4, injected=q.PureState(np.array([1.0, 0.0])))

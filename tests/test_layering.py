@@ -3,14 +3,17 @@
 Each module may import only from modules before it in ``ORDER``, function
 bodies included, so no import cycle can form and no function has to defer an
 import to run time. ``__init__`` re-exports everything and is exempt. A second
-test holds every tolerance in one table at the top of ``linalg``, and a third
-keeps ``cli._print_columns`` the one writer of tables.
+test holds every tolerance in one table at the top of ``linalg``, a third
+keeps ``cli._print_columns`` the one writer of tables, and a fourth keeps
+``qentropy.__all__`` the one sorted list of what ``__init__`` imports.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import qentropy
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qentropy"
 ORDER = ["errors", "linalg", "ensembles", "entropy", "game", "inputs", "cli"]
@@ -81,3 +84,18 @@ def test_cli_writes_tables_in_one_place():
     assert inside, "_print_columns no longer writes to sys.stdout"
     outside = sorted(set(stdout_writes(tree)) - set(inside))
     assert not outside, f"cli.py writes to sys.stdout outside _print_columns, at lines {outside}"
+
+
+def test_all_is_the_sorted_list_of_public_imports():
+    # A removed name cannot leave a stale entry that breaks `from qentropy import *`.
+    names = qentropy.__all__
+    assert names == sorted(set(names)), "__all__ is not sorted, or lists a name twice"
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    assert set(names) == {name for name in imported if not name.startswith("_")}
+    exec("from qentropy import *", {})  # raises AttributeError for an entry that does not resolve

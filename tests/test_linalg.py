@@ -1,7 +1,7 @@
 """Container validation and the LAPACK eigensolver routes.
 
-``op.spectrum``, ``eig_hermitian`` and the 2x2 closed form are checked
-against the independent Jacobi routine in ``jacobi_oracle``.
+``op.spectrum`` and ``eig_hermitian`` are checked against the independent
+Jacobi routine in ``jacobi_oracle``.
 """
 
 from __future__ import annotations
@@ -205,63 +205,30 @@ def test_off_unity_messages(build, error, message):
     assert str(info.value) == message
 
 
-class TestEig2ClosedForm:
-    def test_example(self):
-        vals = q.eig2_closed_form(q.make_density(EXAMPLE))
-        assert vals[0] == pytest.approx(EXAMPLE_EIGS[0], abs=1e-12)
-        assert vals[1] == pytest.approx(EXAMPLE_EIGS[1], abs=1e-12)
-        # printed to three decimals these are the familiar 0.783 / 0.217
-        assert vals[0] == pytest.approx(0.783, abs=1e-3)
-        assert vals[1] == pytest.approx(0.217, abs=1e-3)
-
-    def test_maximally_mixed(self):
-        vals = q.eig2_closed_form(q.make_density(np.eye(2) / 2.0))
-        assert vals == (0.5, 0.5)
-
-    def test_complex_off_diagonal(self):
-        vals = q.eig2_closed_form(q.make_density([[0.5, 0.3j], [-0.3j, 0.5]]))
-        assert vals[0] == pytest.approx(0.8, abs=1e-12)
-        assert vals[1] == pytest.approx(0.2, abs=1e-12)
-
-    def test_values_sum_to_one(self, rng):
-        for _ in range(50):
-            op = q.make_density(random_density_matrix(rng, 2))
-            vals = q.eig2_closed_form(op)
-            assert vals[0] + vals[1] == pytest.approx(1.0, abs=1e-12)
-            assert vals[0] >= vals[1]
-
-    def test_needs_qubit(self):
-        with pytest.raises(q.DimensionMismatch):
-            q.eig2_closed_form(q.make_density(np.eye(3) / 3.0))
-
-
 class TestEigHermitian:
     def test_diagonal_matrix_is_sorted_without_rotation(self):
         dec = q.eig_hermitian(q.make_density(np.diag([0.2, 0.5, 0.3])))
         assert np.array_equal(dec.eigenvalues, [0.5, 0.3, 0.2])
-        assert np.array_equal(dec.eigenvectors[0].amplitudes, [0, 1, 0])
-        assert np.array_equal(dec.eigenvectors[1].amplitudes, [0, 0, 1])
-        assert np.array_equal(dec.eigenvectors[2].amplitudes, [1, 0, 0])
+        assert np.array_equal(dec.eigenvectors, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
     def test_degenerate_spectrum_keeps_basis_order(self):
         dec = q.eig_hermitian(q.make_density(np.eye(4) / 4.0))
         assert np.array_equal(dec.eigenvalues, [0.25] * 4)
-        assert np.array_equal(dec.basis_matrix(), np.eye(4))
+        assert np.array_equal(dec.eigenvectors, np.eye(4))
 
     def test_example_matches_closed_form(self):
         op = q.make_density(EXAMPLE)
         vals = jacobi_spectrum(op.matrix)
-        closed = q.eig2_closed_form(op)
-        assert abs(vals[0] - closed[0]) < 1e-12
-        assert abs(vals[1] - closed[1]) < 1e-12
+        for k in range(2):
+            assert abs(vals[k] - EXAMPLE_EIGS[k]) < 1e-12
+            assert abs(op.spectrum[k] - vals[k]) < 1e-12
 
     def test_closed_form_agreement_on_random_qubits(self, rng):
         for _ in range(1000):
             op = q.make_density(random_density_matrix(rng, 2))
             vals = jacobi_spectrum(op.matrix)
-            closed = q.eig2_closed_form(op)
-            assert abs(vals[0] - closed[0]) < 1e-9
-            assert abs(vals[1] - closed[1]) < 1e-9
+            assert abs(vals[0] - op.spectrum[0]) < 1e-9
+            assert abs(vals[1] - op.spectrum[1]) < 1e-9
 
     def test_reconstruction_and_orthonormality(self, rng):
         for dim in (2, 3, 4, 5, 6):
@@ -269,7 +236,7 @@ class TestEigHermitian:
                 op = q.make_density(random_density_matrix(rng, dim))
                 dec = q.eig_hermitian(op)
                 assert np.max(np.abs(dec.reconstruct() - op.matrix)) < 1e-8
-                u = dec.basis_matrix()
+                u = dec.eigenvectors
                 assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-8
 
     def test_matches_numpy_spectra(self, rng):
@@ -297,10 +264,12 @@ class TestEigHermitian:
                 oracle = jacobi_spectrum(each.matrix)
                 assert np.max(np.abs(spectrum - oracle)) < 1e-12
                 assert np.max(np.abs(dec.eigenvalues - oracle)) < 1e-12
-                # eig_hermitian's record: descending, read-only, one value per eigenvector.
+                # eig_hermitian's record: descending values and a (d, d) matrix of eigenvectors, both read-only.
                 assert np.all(dec.eigenvalues[:-1] >= dec.eigenvalues[1:])
                 assert not dec.eigenvalues.flags.writeable
-                assert dec.eigenvalues.shape == (len(dec.eigenvectors),)
+                assert not dec.eigenvectors.flags.writeable
+                assert dec.eigenvalues.shape == (each.dim,)
+                assert dec.eigenvectors.shape == (each.dim, each.dim)
                 ref = np.sort(np.linalg.eigvalsh(each.matrix))[::-1]
                 assert np.max(np.abs(spectrum - ref)) < 1e-12
                 assert np.all(spectrum[:-1] >= spectrum[1:])
@@ -377,6 +346,20 @@ class TestPartialTrace:
         op = q.make_density(np.eye(4) / 4.0)
         with pytest.raises(q.DimensionMismatch):
             q.partial_trace(op, 3, 2, "A")
+
+    @pytest.mark.parametrize(
+        "dim_a, dim_b, keep", [(2.0, 2, "A"), (2.5, 1.6, "A"), (True, 4, "B"), (4, np.True_, "A"), ("2", 2, "A")]
+    )
+    def test_rejects_dimensions_that_are_not_integers(self, dim_a, dim_b, keep):
+        # 2.0 * 2 and 2.5 * 1.6 equal 4, so only the type check stops them before numpy's reshape.
+        op = q.make_density(np.eye(4) / 4.0)
+        with pytest.raises(q.DimensionMismatch, match="^dim_a and dim_b must be integers"):
+            q.partial_trace(op, dim_a, dim_b, keep)
+
+    def test_accepts_numpy_integer_dimensions(self):
+        op = q.make_density(np.diag([0.4, 0.1, 0.2, 0.3]))
+        reduced = q.partial_trace(op, np.int64(2), np.int32(2), "B")
+        assert np.array_equal(reduced.matrix, q.partial_trace(op, 2, 2, "B").matrix)
 
     def test_rejects_unknown_side(self):
         op = q.make_density(np.eye(4) / 4.0)
