@@ -17,16 +17,9 @@ import numpy as np
 
 from .errors import NoValidSplit, NumericalError, ValidationError
 from .linalg import DensityOperator, check_grid_size, outer_product
-from .ensembles import (
-    _family,
-    _sampled_family,
-    assemble,
-    assemble_general,
-    split_family,
-    symmetric_split,
-)
+from .ensembles import _sampled_family, assemble, assemble_general, split_family, symmetric_split
 from .entropy import (
-    _closed_form_bits,
+    _balanced_rows,
     _composite_rows,
     _entropy_bits,
     _qubit_von_neumann,
@@ -162,8 +155,7 @@ def _balanced_family(step: float) -> tuple[np.ndarray, ...]:
     a = grid(0.5, step)
     s_n = _qubit_von_neumann(0.5, 0.5, a)
     s_i = _entropy_bits(np.full((a.size, 2), 0.5))
-    family = _family(0.5, 0.5, a, 1.0, 2.0 * a, mirror=False)
-    return a, s_n, s_i, *_composite_rows(family.mixed_weight, family.diag, ((family.pure_weight, family.amps),))
+    return a, s_n, s_i, *_balanced_rows(0.5, 0.5, a)
 
 
 def cmd_table1(args) -> int:
@@ -185,7 +177,7 @@ def cmd_sweep(args) -> int:
         # The closed form's domain with y = 1 - x: both diagonal entries above a.
         inside = (x > a) & (1.0 - x > a)
         x, a = x[inside], a[inside]
-        _print_columns(["x", "a", "s_ci"], (x, a, _closed_form_bits(x, 1.0 - x, a)))
+        _print_columns(["x", "a", "s_ci"], (x, a, _balanced_rows(x, 1.0 - x, a)[0]))
         if x.size < inside.size:
             print(f"omitted {inside.size - x.size} points outside the closed-form domain", file=sys.stderr)
         return 0

@@ -291,8 +291,10 @@ def _one_split(op: DensityOperator, r: float, phase: complex, p2: float) -> Mixe
 def split_family(op: DensityOperator, p2: float) -> MixedPureSplit:
     """The one-pure-component decomposition with pure weight p2.
 
-    Valid p2 ranges over [2|a|, p2_max] where p2_max keeps the mixed
-    diagonal nonnegative. When the off-diagonal vanishes the pure component
+    The larger squared amplitude is on |0>. That branch is valid for p2 in
+    [2|a|, x + |a|^2/x], starting at y + |a|^2/y instead when |a| > y, so
+    it can stop short of ``pure_weight_bounds``' maximum, which the mirrored
+    branch reaches. When the off-diagonal vanishes the pure component
     degenerates to a basis state and is folded into the mixed part,
     regardless of p2.
     """
@@ -342,13 +344,12 @@ def pure_weight_bounds(op: DensityOperator) -> tuple[float, float]:
 def _sampled_family(op: DensityOperator, count: int) -> _Family:
     """The valid rows among `count` pure weights spread over ``pure_weight_bounds(op)``."""
     r, phase = _offdiag_polar(op)
-    n = int(count)
-    if n < 1:
-        raise ValidationError(f"count must be at least 1, got {count!r}")
-    check_grid_size(n, f"count {count!r}")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValidationError(f"count must be an integer of at least 1, got {count!r}")
+    check_grid_size(count, f"count {count!r}")
     lo, hi = pure_weight_bounds(op)
     # A vanishing off-diagonal repeats the all-mixed split per sample; a point interval is sampled once.
-    points = n if r <= NEGLIGIBLE_OFFDIAG or hi - lo >= ROUNDING_SLACK else 1
+    points = count if r <= NEGLIGIBLE_OFFDIAG or hi - lo >= ROUNDING_SLACK else 1
     family = _family(op.x, op.y, r, phase, np.linspace(lo, hi, points), mirror=True)
     keep = ~(family.too_light | family.negative)
     return family._make(c[keep] for c in family)
@@ -361,7 +362,8 @@ def enumerate_splits(op: DensityOperator, count: int) -> list[MixedPureSplit]:
     Each sample takes the heavy-on-|0> branch, or else the mirrored one;
     samples admitting neither are dropped. Vanishing off-diagonals collapse
     the whole family to the all-mixed split, repeated per sample. A count
-    above MAX_GRID_POINTS raises ValidationError.
+    that is not an integer (bools included) or below 1, or above
+    MAX_GRID_POINTS, raises ValidationError.
     """
     family = _sampled_family(op, count)
     return [family.split(k) for k in range(family.pure_weight.size)]

@@ -14,8 +14,9 @@ those types made when they were built and go straight to the entropy kernel,
 ``_entropy_bits``, which also takes stacked rows for the scan and the sweeps.
 ``_composite_rows`` is the one home of the composite sum: ``composite`` and
 ``report`` pass it one split's pure parts, and the scan's natural splits and
-the family rows of ``decompose`` and the balanced family pass their one pure
-part as columns.
+the family rows of ``decompose`` and ``_balanced_rows`` pass their one pure
+part as columns. ``_balanced_rows`` is the balanced split's one home: table1,
+sweep figures 2 and 3 and ``composite_closed_form`` read it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .linalg import (
     check_grid_size,
     check_weights,
 )
-from .ensembles import Ensemble, MixedPureSplit, _three_preparations, assemble_general
+from .ensembles import Ensemble, MixedPureSplit, _family, _three_preparations, assemble_general
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -123,6 +124,7 @@ def composite_closed_form(x: float, y: float, a: float) -> float:
 
     Expanded form: -(x-a)log2(x-a) - (y-a)log2(y-a) + (1-2a)log2(1-2a) + 2a.
     Requires x + y = 1, a >= 0, and both diagonal entries strictly above a.
+    One row of ``_balanced_rows``, the kernel figure 3 sweeps.
     """
     xf, yf, af = float(x), float(y), float(a)
     if not (math.isfinite(xf) and math.isfinite(yf) and math.isfinite(af)):
@@ -134,14 +136,16 @@ def composite_closed_form(x: float, y: float, a: float) -> float:
         raise DomainViolation(
             f"closed form needs x > a and y > a, got x = {xf!r}, y = {yf!r}, a = {af!r}"
         )
-    return float(_closed_form_bits(xf, yf, af))
+    return float(_balanced_rows(xf, yf, af)[0][0])
 
 
-def _closed_form_bits(x: np.ndarray, y: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """composite_closed_form over columns, unchecked: the caller keeps x > a and y > a."""
-    t = np.stack((x - a, y - a, 1.0 - 2.0 * a))
-    plog2p = np.where(t > 0.0, t * np.log2(np.where(t > 0.0, t, 1.0)), 0.0)
-    return -plog2p[0] - plog2p[1] + plog2p[2] + 2.0 * a
+def _balanced_rows(x, y, a) -> tuple:
+    """``_composite_rows`` of the balanced split of each [[x, a], [a, y]], a >= 0, unchecked.
+
+    The balanced split is the one-pure family's member at p2 = 2a.
+    """
+    family = _family(x, y, a, 1.0, 2.0 * a, mirror=False)
+    return _composite_rows(family.mixed_weight, family.diag, ((family.pure_weight, family.amps),))
 
 
 @dataclass(frozen=True)

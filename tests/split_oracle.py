@@ -6,6 +6,8 @@ route the kernel replaced: each sample is solved in Python floats, the
 heavy-on-|0> branch tried before the mirrored one, and built as a
 ``MixedPureSplit``. The tests check the kernel's columns against it with
 ``==`` and ``decompose``'s stdout against ``decompose_stdout`` byte for byte.
+``balanced_composite`` is the expanded closed form of the balanced split's
+composite entropy, which the package computes from the family instead.
 """
 
 from __future__ import annotations
@@ -88,6 +90,15 @@ def enumerate_splits(op: DensityOperator, count: int) -> list[MixedPureSplit]:
                 continue
             break
     return splits
+
+
+def balanced_composite(x: float, y: float, a: float) -> float:
+    """-(x-a)log2(x-a) - (y-a)log2(y-a) + (1-2a)log2(1-2a) + 2a, in Python floats, for x > a, y > a."""
+
+    def plog2p(t: float) -> float:
+        return t * math.log2(t) if t > 0.0 else 0.0
+
+    return -plog2p(x - a) - plog2p(y - a) + plog2p(1.0 - 2.0 * a) + 2.0 * a
 
 
 def _fmt(value: float) -> str:

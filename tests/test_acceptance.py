@@ -18,6 +18,7 @@ import numpy as np
 
 import qentropy as q
 from qentropy import cli
+import split_oracle
 from conftest import random_density_matrix
 
 DESK_BUDGET_SECONDS = 1.0
@@ -195,8 +196,9 @@ def test_criterion_09_random_split_invariants():
             y = 1.0 - x
             a = float(rng.uniform(0.0, 0.98)) * min(x, y)
             op = q.make_density(np.array([[x, a], [a, y]]))
-            direct = q.composite(q.symmetric_split(op))
-            assert abs(direct - q.composite_closed_form(x, y, a)) <= 1e-12
+            expected = split_oracle.balanced_composite(x, y, a)
+            assert abs(q.composite(q.symmetric_split(op)) - expected) <= 1e-12
+            assert abs(q.composite_closed_form(x, y, a) - expected) <= 1e-12
 
 
 def test_criterion_10_subadditivity():

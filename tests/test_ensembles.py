@@ -390,6 +390,13 @@ class TestSymmetricSplit:
         with pytest.raises(q.NoValidSplit):
             q.symmetric_split(q.make_density([[0.2, 0.3], [0.3, 0.8]]))
 
+    @pytest.mark.parametrize("x, y", [(0.5, 0.5), (0.3, 0.7), (0.7, 0.3)])
+    def test_rejects_a_diagonal_entry_equal_to_the_off_diagonal(self, x, y):
+        # Both diagonal entries must lie strictly above |a| = 0.3 or 0.5, each checked on its own.
+        a = min(x, y)
+        with pytest.raises(q.NoValidSplit, match="above"):
+            q.symmetric_split(q.make_density([[x, a], [a, y]]))
+
     def test_agrees_with_family_at_lower_bound(self, rng):
         for _ in range(100):
             op = q.make_density(random_density_matrix(rng, 2))
@@ -427,8 +434,11 @@ class TestPureWeightBounds:
 
 class TestEnumerateSplits:
     def test_rejects_bad_count(self):
-        with pytest.raises(q.ValidationError):
-            q.enumerate_splits(q.make_density(DOUBLE), 0)
+        op = q.make_density(DOUBLE)
+        for count in (0, -1, math.inf, math.nan, 2.9, 2.0, True, "5", None):
+            with pytest.raises(q.ValidationError, match="^count must be an integer of at least 1, got "):
+                q.enumerate_splits(op, count)
+        assert len(q.enumerate_splits(op, np.int64(3))) == len(q.enumerate_splits(op, 3))
 
     def test_maximally_mixed_repeats_the_trivial_split(self):
         splits = q.enumerate_splits(q.make_density(np.eye(2) / 2.0), 5)

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qentropy as q
-from qentropy.entropy import _closed_form_bits, _entropy_bits, grid
+from qentropy.entropy import _balanced_rows, _entropy_bits, grid
 from qentropy.inputs import load_document
 from qentropy.linalg import ROUNDING_SLACK, SNAP_ULPS
 
+import split_oracle
 from conftest import random_density_matrix, random_pure_amplitudes, three_preparation_ensemble
 
 EXAMPLE = np.array([[0.7, 0.2], [0.2, 0.3]])
@@ -227,23 +228,24 @@ class TestCompositeClosedForm:
         )
 
     def test_matches_split_route(self):
+        # Both routes read the family kernel, so each is held to the tests' expanded closed form.
         for x, a in ((0.7, 0.2), (0.55, 0.1), (0.9, 0.05), (0.5, 0.49)):
             op = q.make_density([[x, a], [a, 1.0 - x]])
-            via_split = q.composite(q.symmetric_split(op))
-            assert abs(q.composite_closed_form(x, 1.0 - x, a) - via_split) < 1e-12
+            expected = split_oracle.balanced_composite(x, 1.0 - x, a)
+            assert abs(q.composite(q.symmetric_split(op)) - expected) <= 1e-12
+            assert abs(q.composite_closed_form(x, 1.0 - x, a) - expected) <= 1e-12
 
     @pytest.mark.parametrize("step", [0.05, 0.01])
     def test_column_kernel_on_the_figure_3_grid(self, step):
         # The kernel sweep --figure 3 runs, on its masked grid: bit for bit against the
-        # checked scalar entry, and within 1e-12 of the split route's composite entropy.
+        # checked scalar entry, and within 1e-12 of the tests' expanded closed form.
         x, a = (c.ravel() for c in np.meshgrid(grid(1.0, step), grid(0.5, step), indexing="ij"))
         inside = (x > a) & (1.0 - x > a)
         x, a = x[inside], a[inside]
-        values = _closed_form_bits(x, 1.0 - x, a)
+        values, _ = _balanced_rows(x, 1.0 - x, a)
         for xk, ak, value in zip(x.tolist(), a.tolist(), values.tolist()):
             assert value == q.composite_closed_form(xk, 1.0 - xk, ak)
-            op = q.make_density([[xk, ak], [ak, 1.0 - xk]])
-            assert abs(value - q.composite(q.symmetric_split(op))) <= 1e-12
+            assert abs(value - split_oracle.balanced_composite(xk, 1.0 - xk, ak)) <= 1e-12
 
     def test_rejects_bad_trace(self):
         with pytest.raises(q.DomainViolation):

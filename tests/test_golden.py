@@ -40,6 +40,7 @@ STANDALONE = {
     "sweep-figure-2": ["sweep", "--figure", "2"],
     "sweep-figure-2-step-0.03": ["sweep", "--figure", "2", "--step", "0.03"],
     "sweep-figure-3": ["sweep", "--figure", "3"],
+    "sweep-figure-3-step-0.01": ["sweep", "--figure", "3", "--step", "0.01"],
     "sweep-figure-5": ["sweep", "--figure", "5"],
     "threshold": ["threshold"],
     "threshold-tol-1e-6-step-0.01": ["threshold", "--tol", "1e-6", "--step", "0.01"],

@@ -4,8 +4,9 @@ Each module may import only from modules before it in ``ORDER``, function
 bodies included, so no import cycle can form and no function has to defer an
 import to run time. ``__init__`` re-exports everything and is exempt. A second
 test holds every tolerance in one table at the top of ``linalg``, a third
-keeps ``cli._print_columns`` the one writer of tables, and a fourth keeps
-``qentropy.__all__`` the one sorted list of what ``__init__`` imports.
+keeps ``cli._print_columns`` the one writer of tables, a fourth keeps
+``qentropy.__all__`` the one sorted list of what ``__init__`` imports, and a
+fifth keeps ``entropy._entropy_bits`` the one place that takes a logarithm.
 """
 
 from __future__ import annotations
@@ -84,6 +85,29 @@ def test_cli_writes_tables_in_one_place():
     assert inside, "_print_columns no longer writes to sys.stdout"
     outside = sorted(set(stdout_writes(tree)) - set(inside))
     assert not outside, f"cli.py writes to sys.stdout outside _print_columns, at lines {outside}"
+
+
+def test_logarithms_live_in_the_entropy_kernel():
+    # Which terms of an entropy count as zero is decided once, in _entropy_bits: no other
+    # function takes a logarithm, by attribute (np.log2, math.log) or by imported name.
+    logs = {"log", "log2", "log10", "log1p"}
+
+    def log_sites(root):
+        return [
+            node
+            for node in ast.walk(root)
+            if (isinstance(node, ast.Attribute) and node.attr in logs)
+            or (isinstance(node, ast.alias) and node.name in logs)
+        ]
+
+    tree = ast.parse((PACKAGE / "entropy.py").read_text(encoding="utf-8"))
+    kernel = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_entropy_bits")
+    inside = set(map(id, log_sites(kernel)))
+    assert inside, "_entropy_bits no longer takes a logarithm"
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = tree if path.stem == "entropy" else ast.parse(path.read_text(encoding="utf-8"))
+        outside = [node.lineno for node in log_sites(module) if id(node) not in inside]
+        assert not outside, f"{path.name} takes a logarithm outside entropy._entropy_bits, at lines {outside}"
 
 
 def test_all_is_the_sorted_list_of_public_imports():

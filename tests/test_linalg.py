@@ -82,6 +82,12 @@ class TestDensityOperator:
         with pytest.raises(q.NotPositiveSemidefinite):
             q.make_density([[0.7, 0.6], [0.6, 0.3]])
 
+    def test_smallest_eigenvalue_may_reach_the_tolerance(self):
+        # LAPACK returns a diagonal matrix's entries exactly, so the bound itself is on the grid.
+        assert q.make_density(np.diag([1.0 + 1e-9, -1e-9])).spectrum[-1] == -1e-9
+        with pytest.raises(q.NotPositiveSemidefinite):
+            q.make_density(np.diag([1.0 + 1.0000001e-9, -1.0000001e-9]))
+
     def test_rejects_an_overflowing_hermitian_part(self):
         # (M + M^H) / 2 overflows to inf, and LAPACK's NaN eigenvalues would pass the PSD check.
         with pytest.raises(q.ValidationError, match="Hermitian part overflows"):
