@@ -93,14 +93,12 @@ def cmd_entropy(args) -> int:
     op = _document_operator(doc)
 
     split = None
-    s_p = None
-    if doc.kind == "pure":
-        s_p = pure_entropy(doc.payload)
-    elif args.p2 is not None:
+    s_p = pure_entropy(doc.payload) if doc.kind == "pure" else None
+    if args.p2 is not None:
         split = split_family(op, args.p2)
     elif doc.kind == "qubit-spec":
         split = doc.payload.natural_split()
-    elif op.dim == 2:
+    elif doc.kind != "pure" and op.dim == 2:
         try:
             split = symmetric_split(op)
         except NoValidSplit:

@@ -6,9 +6,10 @@ it as a diagonal mixed part plus pure components. Unchecked column kernels
 hold the qubit formulas: ``_three_preparations`` the three-preparation
 ensemble's operator and natural split, for ``assemble``, ``natural_split``
 and ``entropy.ordering_scan``; ``_family`` the one-pure family by pure
-weight p2, with the off-diagonal's phase on the pure amplitudes. Its rows
-give ``split_family``, ``symmetric_split`` and ``enumerate_splits``, its
-columns ``decompose`` and the balanced family.
+weight p2, with the off-diagonal's phase on the pure amplitudes. One rule
+names the member at each weight: heavy on |0> where that is valid, else
+heavy on |1>. Its rows give ``split_family``, ``symmetric_split`` and
+``enumerate_splits``, its columns ``decompose`` and the balanced family.
 """
 
 from __future__ import annotations
@@ -245,13 +246,13 @@ class _Family(NamedTuple):
         return np.max(np.abs(_mix(parts) - target), axis=(1, 2))
 
 
-def _family(x, y, r, phase: complex, p2, mirror: bool) -> _Family:
+def _family(x, y, r, phase: complex, p2) -> _Family:
     """Members of the family of [[x, r phase], [r phase*, y]] at pure weights p2, unchecked.
 
     x, y, r and p2 broadcast to one column. Each row solves p2 u v = r with
-    u^2 + v^2 = 1, the larger u^2 on |0> (with `mirror`, on |1> where |0>
-    leaves a negative mixed diagonal). Rows with r <= NEGLIGIBLE_OFFDIAG are
-    all mixed; a mixed weight under ROUNDING_SLACK, or no diagonal left, pure.
+    u^2 + v^2 = 1, the larger u^2 on |0>, or on |1> (and in ``nums``) where
+    |0> leaves a negative mixed diagonal. Rows with r <= NEGLIGIBLE_OFFDIAG
+    are all mixed; a mixed weight under ROUNDING_SLACK, or none left, pure.
     """
     x, y, r, p2 = np.broadcast_arrays(*np.atleast_1d(x, y, r, p2))
     negligible = r <= NEGLIGIBLE_OFFDIAG
@@ -261,9 +262,8 @@ def _family(x, y, r, phase: complex, p2, mirror: bool) -> _Family:
     p2 = np.where(negligible, 0.0, p2)[:, None]  # pure weight 0 leaves the mixed diagonal (x, y)
     squares = np.stack((0.5 * (1.0 + disc), 0.5 * (1.0 - disc)), axis=-1)
     diagonal = np.stack((x, y), axis=-1)
-    if mirror:
-        swap = np.any(diagonal - p2 * squares < -CONTRACT_TOL, axis=-1)
-        squares = np.where(swap[:, None], squares[:, ::-1], squares)
+    swap = np.any(diagonal - p2 * squares < -CONTRACT_TOL, axis=-1)
+    squares = np.where(swap[:, None], squares[:, ::-1], squares)
     nums = diagonal - p2 * squares
     too_light, negative = ratio > 1.0 + ROUNDING_SLACK, np.any(nums < -CONTRACT_TOL, axis=-1) & ~negligible
     # np.maximum, as check_weights clamps: a -0.0 numerator gives a 0.0 entry, never -0.0.
@@ -278,8 +278,8 @@ def _family(x, y, r, phase: complex, p2, mirror: bool) -> _Family:
 
 
 def _one_split(op: DensityOperator, r: float, phase: complex, p2: float) -> MixedPureSplit:
-    """The family member with pure weight p2, heavy on |0>, or NoValidSplit saying why not."""
-    family = _family(op.x, op.y, r, phase, p2, mirror=False)
+    """The family member with pure weight p2, or NoValidSplit saying why neither branch has one."""
+    family = _family(op.x, op.y, r, phase, p2)
     if family.too_light[0]:
         raise NoValidSplit(f"pure weight {p2:.6g} is below twice the off-diagonal magnitude {2.0 * r:.6g}")
     if family.negative[0]:
@@ -291,12 +291,11 @@ def _one_split(op: DensityOperator, r: float, phase: complex, p2: float) -> Mixe
 def split_family(op: DensityOperator, p2: float) -> MixedPureSplit:
     """The one-pure-component decomposition with pure weight p2.
 
-    The larger squared amplitude is on |0>. That branch is valid for p2 in
-    [2|a|, x + |a|^2/x], starting at y + |a|^2/y instead when |a| > y, so
-    it can stop short of ``pure_weight_bounds``' maximum, which the mirrored
-    branch reaches. When the off-diagonal vanishes the pure component
-    degenerates to a basis state and is folded into the mixed part,
-    regardless of p2.
+    The larger squared amplitude is on |0> where that leaves a nonnegative
+    mixed diagonal, and on |1> otherwise: the member ``enumerate_splits``
+    samples at p2. NoValidSplit is raised only where neither branch has a
+    split. When the off-diagonal vanishes the pure component degenerates to
+    a basis state and is folded into the mixed part, regardless of p2.
     """
     r, phase = _offdiag_polar(op)
     p2f = float(p2)
@@ -350,7 +349,7 @@ def _sampled_family(op: DensityOperator, count: int) -> _Family:
     lo, hi = pure_weight_bounds(op)
     # A vanishing off-diagonal repeats the all-mixed split per sample; a point interval is sampled once.
     points = count if r <= NEGLIGIBLE_OFFDIAG or hi - lo >= ROUNDING_SLACK else 1
-    family = _family(op.x, op.y, r, phase, np.linspace(lo, hi, points), mirror=True)
+    family = _family(op.x, op.y, r, phase, np.linspace(lo, hi, points))
     keep = ~(family.too_light | family.negative)
     return family._make(c[keep] for c in family)
 
@@ -359,8 +358,8 @@ def enumerate_splits(op: DensityOperator, count: int) -> list[MixedPureSplit]:
     """Sample `count` family members across the valid pure-weight interval.
 
     The grid is linear over [p2_min, p2_max] with both endpoints included.
-    Each sample takes the heavy-on-|0> branch, or else the mirrored one;
-    samples admitting neither are dropped. Vanishing off-diagonals collapse
+    Each sample is ``split_family``'s member at its weight; samples
+    admitting no split are dropped. Vanishing off-diagonals collapse
     the whole family to the all-mixed split, repeated per sample. A count
     that is not an integer (bools included) or below 1, or above
     MAX_GRID_POINTS, raises ValidationError.

@@ -144,7 +144,7 @@ def _balanced_rows(x, y, a) -> tuple:
 
     The balanced split is the one-pure family's member at p2 = 2a.
     """
-    family = _family(x, y, a, 1.0, 2.0 * a, mirror=False)
+    family = _family(x, y, a, 1.0, 2.0 * a)
     return _composite_rows(family.mixed_weight, family.diag, ((family.pure_weight, family.amps),))
 
 

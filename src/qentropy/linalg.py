@@ -50,9 +50,10 @@ MAX_GRID_POINTS = 100_000
 
 
 def check_grid_size(points: float, what: str) -> None:
-    """Raise ValidationError for a grid of more than MAX_GRID_POINTS points."""
+    """Raise ValidationError for more than MAX_GRID_POINTS points; an integer count prints exactly."""
     if points > MAX_GRID_POINTS:
-        raise ValidationError(f"{what} gives {points:.12g} grid points, above the cap of {MAX_GRID_POINTS}")
+        shown = points if isinstance(points, (int, np.integer)) else f"{points:.12g}"
+        raise ValidationError(f"{what} gives {shown} grid points, above the cap of {MAX_GRID_POINTS}")
 
 
 def check_weights(weights, what: str) -> np.ndarray:

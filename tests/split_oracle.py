@@ -3,8 +3,8 @@
 The package computes the one-pure family as columns (``ensembles._family``)
 and ``decompose`` prints straight from them. This module keeps the scalar
 route the kernel replaced: each sample is solved in Python floats, the
-heavy-on-|0> branch tried before the mirrored one, and built as a
-``MixedPureSplit``. The tests check the kernel's columns against it with
+heavy-on-|0> branch tried before the heavy-on-|1> one (``split_at``), and
+built as a ``MixedPureSplit``. The tests check the kernel's columns against it with
 ``==`` and ``decompose``'s stdout against ``decompose_stdout`` byte for byte.
 ``balanced_composite`` is the expanded closed form of the balanced split's
 composite entropy, which the package computes from the family instead.
@@ -64,16 +64,23 @@ def one_pure_split(
 
 
 def split_at(op: DensityOperator, p2: float) -> MixedPureSplit:
-    """``split_family``/``symmetric_split`` after their argument checks: heavy on |0> only."""
+    """``split_family``/``symmetric_split`` after their argument checks.
+
+    Tries heavy on |0>, then heavy on |1>; where neither has a split, the
+    second's NoValidSplit propagates.
+    """
     r, phase = _offdiag_polar(op)
     if r <= NEGLIGIBLE_OFFDIAG:
         return all_mixed(op)
-    return one_pure_split(op.x, op.y, r, phase, p2, heavy_index=0)
+    try:
+        return one_pure_split(op.x, op.y, r, phase, p2, heavy_index=0)
+    except NoValidSplit:
+        return one_pure_split(op.x, op.y, r, phase, p2, heavy_index=1)
 
 
 def enumerate_splits(op: DensityOperator, count: int) -> list[MixedPureSplit]:
-    """The samples of ``ensembles.enumerate_splits``, tried one point and branch at a time."""
-    r, phase = _offdiag_polar(op)
+    """The samples of ``ensembles.enumerate_splits``: ``split_at`` one point at a time."""
+    r, _ = _offdiag_polar(op)
     if r <= NEGLIGIBLE_OFFDIAG:
         return [all_mixed(op) for _ in range(count)]
     lo, hi = pure_weight_bounds(op)
@@ -83,12 +90,10 @@ def enumerate_splits(op: DensityOperator, count: int) -> list[MixedPureSplit]:
         grid = np.linspace(lo, hi, count)
     splits = []
     for p2 in grid:
-        for heavy_index in (0, 1):
-            try:
-                splits.append(one_pure_split(op.x, op.y, r, phase, float(p2), heavy_index))
-            except NoValidSplit:
-                continue
-            break
+        try:
+            splits.append(split_at(op, float(p2)))
+        except NoValidSplit:
+            continue
     return splits
 
 

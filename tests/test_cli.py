@@ -29,6 +29,9 @@ import split_oracle
 from conftest import MALFORMED_FILES, QUBIT_EDGE_CASES, qubit_density_matrices
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+# An integer past float64's range, as a command-line value.
+_HUGE = "1" + "0" * 400
+_HUGE_COUNT_ARGV = ("decompose", "--input", str(INPUTS / "mixed_qubit.json"), "--count", _HUGE)
 
 
 def run(capsys, *argv):
@@ -241,6 +244,61 @@ class TestDecomposeCommand:
             "decompose", "--input", str(INPUTS / "mixed_qubit.json"), "--count", "0",
         )
         assert code == 2
+
+
+def cli_output(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneSplitRule:
+    """`entropy --p2` accepts every pure weight `decompose` prints, and gives that row's s_ci."""
+
+    @staticmethod
+    def assert_entropy_accepts_decompose_weights(path):
+        op = load_document(str(path)).payload
+        code, out, _ = cli_output("decompose", "--input", str(path), "--csv", "--count", "12")
+        assert code == 0
+        rows = csv_rows(out)[1:]
+        # The printed weights to 6 digits; the same samples at full precision to pass back as --p2.
+        weights = [split.pure_weight for split in q.enumerate_splits(op, 12)]
+        assert [row[1] for row in rows] == [f"{w:.6g}" for w in weights]
+        for row, weight in zip(rows, weights):
+            if weight == 0.0:  # a negligible off-diagonal: no pure part, and --p2 0 is out of range
+                continue
+            code, out, err = cli_output("entropy", "--input", str(path), "--p2", repr(weight))
+            assert (code, err) == (0, ""), weight
+            assert f"s_ci = {row[-1]}\n" in out, weight
+
+    def test_committed_densities(self):
+        paths = [path for path in sorted(INPUTS.glob("*.json"))
+                 if load_document(str(path)).kind == "density" and load_document(str(path)).payload.dim == 2]
+        assert len(paths) >= 5
+        for path in paths:
+            self.assert_entropy_accepts_decompose_weights(path)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(matrix=qubit_density_matrices())
+    @example(matrix=np.array([[0.3, 0.2], [0.2, 0.7]]))
+    @example(matrix=np.array(QUBIT_EDGE_CASES["real-projector"]))
+    def test_both_orientations(self, tmp_path_factory, matrix):
+        # x < y and x >= y: each state and its relabelling (x and y swapped, the off-diagonal conjugated).
+        m = np.asarray(matrix, dtype=np.complex128)
+        for m in (m, m[::-1, ::-1]):
+            path = tmp_path_factory.mktemp("one-rule") / "doc.json"
+            path.write_text(json.dumps({"kind": "density", "re": m.real.tolist(), "im": m.imag.tolist()}))
+            self.assert_entropy_accepts_decompose_weights(path)
+
+    def test_p2_applies_to_pure_documents(self):
+        # At p2 = 1 the split is the state itself: s_ci and pure_share equal s_p.
+        code, out, _ = cli_output("entropy", "--input", str(INPUTS / "tilted_pure.json"), "--p2", "1")
+        assert code == 0
+        assert parsed_value(out, "s_ci") == parsed_value(out, "pure_share") == parsed_value(out, "s_p")
+        code, out, err = cli_output("entropy", "--input", str(INPUTS / "tilted_pure.json"), "--p2", "7")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ValidationError: p2 must lie in (0, 1]")
 
 
 class TestTable1Command:
@@ -705,6 +763,11 @@ class TestArgumentErrors:
         if argv[0] == "decompose":
             assert "100001 grid points" in err
 
+    def test_count_past_float_range_exits_2(self, capsys):
+        code, out, err = run(capsys, *_HUGE_COUNT_ARGV)
+        assert (code, out) == (2, "")
+        assert err == f"error: ValidationError: count {_HUGE} gives {_HUGE} grid points, above the cap of 100000\n"
+
 
 # Arbitrary JSON, with NaN, the infinities and an integer too large for a float among the scalars.
 _NUMBER = st.floats() | st.integers(-2, 2) | st.just(10**400)
@@ -798,3 +861,66 @@ class TestFuzzedDocuments:
             code = cli.main([*flag, repr(value)])
         assert code in (0, 2, 3)
         assert err.getvalue().count("\n") <= 1
+
+
+# The whole command grammar: each subcommand with its own flags in any order, sometimes a missing
+# required flag or a flag of another subcommand, and values that are numbers, spellings that one
+# of int() and float() accepts and the other does not, and non-numbers.
+_INPUT_PATHS = [str(path) for path in sorted(INPUTS.glob("*.json"))]
+_GRAMMAR_VALUES = (
+    st.sampled_from(["1e400", "-1e400", "nan", "inf", "0x10", "1_000", _HUGE, "-" + _HUGE, "", "--", "1e-300",
+                     "-0", "0.5", "0.05", "1.0", "2.5", "a"])
+    | st.integers(-3, 40).map(str)
+    | st.floats().map(repr)
+)
+_SUBCOMMAND_FLAGS = {
+    "entropy": {"--input": st.sampled_from(_INPUT_PATHS), "--p2": _GRAMMAR_VALUES, "--csv": st.none()},
+    "decompose": {"--input": st.sampled_from(_INPUT_PATHS), "--count": _GRAMMAR_VALUES, "--csv": st.none()},
+    "table1": {},
+    "sweep": {"--figure": _GRAMMAR_VALUES | st.sampled_from(["2", "3", "5"]), "--step": _GRAMMAR_VALUES},
+    "threshold": {},
+    "holevo": {"--input": st.sampled_from(_INPUT_PATHS)},
+    "theorem-scan": {"--step": _GRAMMAR_VALUES, "--u2-step": _GRAMMAR_VALUES},
+}
+_ALL_FLAGS = sorted({flag for flags in _SUBCOMMAND_FLAGS.values() for flag in flags})
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    flags = _SUBCOMMAND_FLAGS[command]
+    # Each own flag is present or absent; required ones are usually present.
+    chosen = [flag for flag in flags if draw(st.integers(0, 3)) > 0]
+    if draw(st.integers(0, 7)) == 0:
+        chosen.append(draw(st.sampled_from(_ALL_FLAGS)))
+    argv = [command]
+    for flag in draw(st.permutations(chosen)):
+        argv.append(flag)
+        if flag != "--csv":
+            argv.append(draw(flags.get(flag, _GRAMMAR_VALUES)))
+    return argv
+
+
+@pytest.mark.parametrize("path", _INPUT_PATHS, ids=lambda path: Path(path).stem)
+@pytest.mark.parametrize("flag", ["--p2", "--count"])
+def test_numeric_values_on_every_document_keep_the_cli_contract(flag, path):
+    # --p2 on entropy and --count on decompose, for every committed document kind.
+    command = "entropy" if flag == "--p2" else "decompose"
+    for value in ("1e400", "nan", "0x10", "1_000", _HUGE, "0.5", "1", "12"):
+        code, _, err = cli_output(command, "--input", path, flag, value)
+        assert code in (0, 2, 3), value
+        assert err.count("\n") <= 1 and "Traceback" not in err, value
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(argv=_command_lines())
+@example(argv=list(_HUGE_COUNT_ARGV))
+def test_command_grammar_keeps_the_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # A warning would print a second stderr line, so it fails here as an exception.
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()

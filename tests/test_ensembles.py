@@ -329,12 +329,12 @@ class TestSplitFamily:
         assert split.mixed_weight == 0.0
         assert abs(split.pures[0][1].amplitudes[0] - 0.8) < 1e-12
 
-    def test_primary_branch_fails_on_heavy_lower_pure(self):
-        # the family's own branch puts the big amplitude on |0>, which a
-        # |1>-heavy pure state cannot satisfy
+    def test_full_pure_weight_on_heavy_lower_pure_state(self):
+        # |0>-heavy leaves a negative mixed diagonal here, so the |1>-heavy member is the state itself
         op = q.outer_product(q.PureState(np.array([0.6, 0.8])))
-        with pytest.raises(q.NoValidSplit):
-            q.split_family(op, 1.0)
+        split = q.split_family(op, 1.0)
+        assert split.mixed_weight == 0.0
+        assert np.max(np.abs(split.pures[0][1].amplitudes - [0.6, 0.8])) < 1e-12
 
     def test_complex_off_diagonal_reconstructs(self):
         op = q.make_density([[0.5, 0.1 - 0.2j], [0.1 + 0.2j, 0.5]])
@@ -439,6 +439,10 @@ class TestEnumerateSplits:
             with pytest.raises(q.ValidationError, match="^count must be an integer of at least 1, got "):
                 q.enumerate_splits(op, count)
         assert len(q.enumerate_splits(op, np.int64(3))) == len(q.enumerate_splits(op, 3))
+
+    def test_count_past_float_range_is_a_validation_error(self):
+        with pytest.raises(q.ValidationError, match=f"gives {10**400} grid points, above the cap"):
+            q.enumerate_splits(q.make_density(DOUBLE), 10**400)
 
     def test_maximally_mixed_repeats_the_trivial_split(self):
         splits = q.enumerate_splits(q.make_density(np.eye(2) / 2.0), 5)
@@ -561,6 +565,52 @@ class TestSplitKernel:
             assert outcome(q.symmetric_split, op) == outcome(split_oracle.split_at, op, 2.0 * r)
 
 
+def is_valid(op: q.DensityOperator, p2: float) -> bool:
+    try:
+        q.split_family(op, p2)
+    except q.NoValidSplit:
+        return False
+    return True
+
+
+class TestOneSplitRule:
+    """``split_family`` refuses a pure weight only where neither branch has a split."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(matrix=qubit_density_matrices(), fraction=st.floats(0.0, 1.0))
+    @example(matrix=np.array([[0.3, 0.2], [0.2, 0.7]]), fraction=0.6)
+    @example(matrix=np.array(QUBIT_EDGE_CASES["complex-projector"]), fraction=1.0)
+    @example(matrix=np.array(QUBIT_EDGE_CASES["no-split-at-lowest-weight"]), fraction=0.5)
+    def test_refuses_exactly_where_both_branches_fail(self, matrix, fraction):
+        op = q.make_density(matrix)
+        r, phase = ensembles._offdiag_polar(op)
+        p2 = max(fraction, 5e-324)
+        if r <= linalg.NEGLIGIBLE_OFFDIAG:
+            assert is_valid(op, p2)
+            return
+        branches = []
+        for heavy_index in (0, 1):
+            try:
+                split_oracle.one_pure_split(op.x, op.y, r, phase, p2, heavy_index)
+            except q.NoValidSplit:
+                branches.append(False)
+            else:
+                branches.append(True)
+        assert is_valid(op, p2) == any(branches)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(matrix=qubit_density_matrices(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    @example(matrix=np.array(QUBIT_EDGE_CASES["real-projector"]), fractions=[1.0, 0.98, 0.96])
+    @example(matrix=np.array([[0.3, 0.2], [0.2, 0.7]]), fractions=[0.4, 0.6, 0.757])
+    def test_relabelling_keeps_the_valid_weights(self, matrix, fractions):
+        # Swapping |0> and |1> (x <-> y, a -> a*) accepts exactly the same pure weights.
+        op = q.make_density(matrix)
+        swapped = q.make_density(np.asarray(matrix, dtype=np.complex128)[::-1, ::-1])
+        assert (swapped.x, swapped.y, swapped.a) == (op.y, op.x, op.a.conjugate())
+        for p2 in (max(f, 5e-324) for f in fractions):
+            assert is_valid(op, p2) == is_valid(swapped, p2), p2
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     x=st.floats(0.05, 0.95),
@@ -572,8 +622,9 @@ def test_family_members_reconstruct_everywhere(x, off_scale, p2_scale):
     a = off_scale * math.sqrt(x * y)
     op = q.make_density(np.array([[x, a], [a, y]]))
     if a > x:
-        with pytest.raises(q.NoValidSplit):
-            q.split_family(op, min(1.0, x + a * a / x))
+        # No |0>-heavy member: the |1>-heavy one at the bottom of its range
+        split = q.split_family(op, min(1.0, x + a * a / x))
+        assert np.max(np.abs(split.reconstruct().matrix - op.matrix)) < 1e-10
         return
     lo = 2.0 * a if a <= y else y + a * a / y
     hi = x + a * a / x

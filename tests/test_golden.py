@@ -91,6 +91,13 @@ def test_cli_output_matches_snapshot(name, monkeypatch):
     assert err == _read(GOLDEN / f"{name}.stderr")
 
 
+def test_snapshots_are_exactly_the_cases():
+    # An orphaned snapshot, of a case that no longer runs, would otherwise pass unseen.
+    assert sorted(json.loads(_read(MANIFEST))) == sorted(CASES)
+    files = {path.name for path in GOLDEN.iterdir()} - {MANIFEST.name}
+    assert files == {f"{name}.{stream}" for name in CASES for stream in ("stdout", "stderr")}
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     manifest = {}

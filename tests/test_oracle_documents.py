@@ -6,8 +6,9 @@ and no import of qentropy. It is loaded here by path, unchanged, as
 ``tests/test_trace_hooks.py`` loads the tracer. Hypothesis writes density,
 pure and ensemble documents of dimension 2 to 8: complex entries, rank-1
 states and near-diagonal densities whose off-diagonals straddle the
-negligible threshold. Each command runs in process, and the oracle's check of
-its stdout must report no problem.
+negligible threshold. It also writes qubit-spec documents, which run under
+``entropy --p2`` as well. Each command runs in process, and the oracle's
+check of its stdout must report no problem.
 """
 
 from __future__ import annotations
@@ -127,3 +128,37 @@ def test_pure_documents(tmp_path, v):
 def test_ensemble_documents(tmp_path, doc):
     assert_entropy_agrees(tmp_path, doc)
     assert oracle.check_holevo(doc, run(tmp_path, doc, "holevo")) == []
+
+
+@st.composite
+def qubit_spec_documents(draw) -> dict:
+    """Three-preparation weights (all three, p0 = p1 = 0 or p2 = 0) and u^2 in [0, 1], edges included."""
+    shape = draw(st.sampled_from(["three", "pure only", "no pure"]))
+    p0 = 0.0 if shape == "pure only" else draw(st.floats(0.0, 1.0))
+    p1 = 0.0 if shape == "pure only" else 1.0 - p0 if shape == "no pure" else draw(st.floats(0.0, 1.0 - p0))
+    u2 = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    return {"kind": "qubit-spec", "p0": p0, "p1": p1, "p2": max(1.0 - p0 - p1, 0.0), "u2": u2}
+
+
+def heavy_lower_p2(m: np.ndarray, fractions: list[float]) -> float | None:
+    """The first of the pure weights 2|a| + f (1 - 2|a|) whose |0>-heavy member keeps both mixed
+    diagonal entries 1e-3 above zero: the only branch ``oracle.family_split`` models. None if none does."""
+    x, y, r = float(m[0, 0].real), float(m[1, 1].real), float(abs(m[0, 1]))
+    if r <= oracle.NEGLIGIBLE_OFFDIAG:
+        return 0.1 + 0.8 * fractions[0]
+    for f in fractions:
+        p2 = 2.0 * r + f * (1.0 - 2.0 * r)
+        u2 = 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - (2.0 * r / p2) ** 2)))
+        if min(x - p2 * u2, y - p2 * (1.0 - u2)) > 1e-3:
+            return p2
+    return None
+
+
+@SETTINGS
+@given(qubit_spec_documents(), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+def test_qubit_spec_documents(tmp_path, doc, fractions):
+    assert_entropy_agrees(tmp_path, doc)
+    p2 = heavy_lower_p2(oracle.document_operator(doc), fractions)
+    if p2 is not None:
+        response = run(tmp_path, doc, "entropy", "--p2", repr(p2))
+        assert oracle.check_entropy(doc, response, p2=p2) == []
