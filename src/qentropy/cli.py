@@ -10,6 +10,7 @@ well.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -33,8 +34,17 @@ from .game import sweep_game, threshold_roots
 from .inputs import InputDocument, load_document
 
 
+# Every real cell's format, for one value (_fmt) and for a block's distinct values (_column_cells).
+_CELL_FORMAT = "%.6g"
+
+
 def _fmt(value: float) -> str:
-    return f"{float(value):.6g}"
+    return _CELL_FORMAT % float(value)
+
+
+def _fmt_many(values: list[float]) -> list[str]:
+    # One %-format call for all the values: the NUL separator never occurs in a formatted float.
+    return ((_CELL_FORMAT + "\0") * len(values) % tuple(values)).split("\0")[:-1]
 
 
 def _fmt_matrix(matrix: np.ndarray) -> str:
@@ -42,11 +52,15 @@ def _fmt_matrix(matrix: np.ndarray) -> str:
     return "[" + ", ".join("[" + ", ".join(cells[k:k + d]) + "]" for k in range(0, len(cells), d)) + "]"
 
 
+# Boolean cells, indexed by the flag: shared strings, where np.where builds one per cell.
+_BOOL_CELLS = np.array(["false", "true"], dtype=object)
+
+
 def _column_cells(column: np.ndarray) -> list[str]:
-    # The column's cells. _fmt runs once per distinct float64 bit pattern within a block, not
-    # per distinct value: -0.0 == 0.0 but they print as "-0" and "0", and NaN is unequal to itself.
+    # The column's cells. Each distinct float64 bit pattern within a block is formatted once, not
+    # each distinct value: -0.0 == 0.0 but they print as "-0" and "0", and NaN is unequal to itself.
     if column.dtype == bool:
-        return np.where(column, "true", "false").tolist()
+        return _BOOL_CELLS[column.view(np.uint8)].tolist()
     if column.dtype.kind in "iu":  # str(k) at any size, where _fmt would print 1e+06
         return column.astype(str).tolist()
     if np.iscomplexobj(column):  # the real part alone where the imaginary part is zero
@@ -57,7 +71,7 @@ def _column_cells(column: np.ndarray) -> list[str]:
     patterns, inverse = np.unique(
         np.ascontiguousarray(column, dtype=np.float64).view(np.int64), return_inverse=True
     )
-    texts = np.array([_fmt(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+    texts = np.array(_fmt_many(patterns.view(np.float64).tolist()), dtype=object)
     return texts[inverse].tolist()
 
 
@@ -271,10 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main reads, built on first use, so importing the module builds none. Reuse is safe:
+# parse_args returns a fresh Namespace per call, and nothing else in the parser changes.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -27,6 +27,7 @@ from .linalg import (
     ROUNDING_SLACK,
     DensityOperator,
     PureState,
+    _int_repr,
     _mix,
     _projector,
     _require_unit,
@@ -344,8 +345,8 @@ def _sampled_family(op: DensityOperator, count: int) -> _Family:
     """The valid rows among `count` pure weights spread over ``pure_weight_bounds(op)``."""
     r, phase = _offdiag_polar(op)
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValidationError(f"count must be an integer of at least 1, got {count!r}")
-    check_grid_size(count, f"count {count!r}")
+        raise ValidationError(f"count must be an integer of at least 1, got {_int_repr(count)}")
+    check_grid_size(count, f"count {_int_repr(count)}")
     lo, hi = pure_weight_bounds(op)
     # A vanishing off-diagonal repeats the all-mixed split per sample; a point interval is sampled once.
     points = count if r <= NEGLIGIBLE_OFFDIAG or hi - lo >= ROUNDING_SLACK else 1

@@ -15,6 +15,7 @@ their own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +50,18 @@ SNAP_ULPS = 4
 MAX_GRID_POINTS = 100_000
 
 
+def _int_repr(n) -> str:
+    """repr(n), or, past the interpreter's limit on integer-to-decimal conversion, its size."""
+    try:
+        return repr(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows (4300 by default)
+        return f"{'-' if n < 0 else ''}<integer of more than {sys.get_int_max_str_digits()} digits>"
+
+
 def check_grid_size(points: float, what: str) -> None:
     """Raise ValidationError for more than MAX_GRID_POINTS points; an integer count prints exactly."""
     if points > MAX_GRID_POINTS:
-        shown = points if isinstance(points, (int, np.integer)) else f"{points:.12g}"
+        shown = _int_repr(int(points)) if isinstance(points, (int, np.integer)) else f"{points:.12g}"
         raise ValidationError(f"{what} gives {shown} grid points, above the cap of {MAX_GRID_POINTS}")
 
 

@@ -565,11 +565,11 @@ class TestTheoremScanCommand:
 def _reference_cell(dtype, value) -> str:
     if dtype == bool:
         return "true" if value else "false"
-    return str(value) if dtype.kind == "i" else cli._fmt(value)
+    return str(value) if dtype.kind == "i" else f"{value:.6g}"
 
 
 def _print_columns_reference(header, columns) -> str:
-    # The cell-by-cell route: _fmt on every float, one print per line.
+    # The cell-by-cell route, written apart from cli: an f-string per float, one print per line.
     out = io.StringIO()
     cells = [[_reference_cell(c.dtype, v) for v in c.tolist()] for c in columns]
     with redirect_stdout(out):
@@ -643,18 +643,44 @@ class TestPrintColumns:
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_theorem_scan_formats_each_distinct_float_once(self, capsys, monkeypatch):
-        calls = []
-        original = cli._fmt
+        # One batch per float column (each is one block), holding its distinct bit patterns.
+        batches = []
+        original = cli._fmt_many
 
-        def counting(value):
-            calls.append(value)
-            return original(value)
+        def counting(values):
+            batches.append(values)
+            return original(values)
 
-        monkeypatch.setattr(cli, "_fmt", counting)
+        monkeypatch.setattr(cli, "_fmt_many", counting)
         assert run(capsys, "theorem-scan")[0] == 0
         scan = q.ordering_scan()
         floats = (scan.p0, scan.p1, scan.p2, scan.u_squared, scan.s_n, scan.s_ci, scan.s_i)
-        assert len(calls) == sum(np.unique(c.view(np.int64)).size for c in floats) == 1989
+        distinct = [np.unique(c.view(np.int64)).size for c in floats]
+        assert [len(batch) for batch in batches] == distinct
+        assert sum(map(len, batches)) == sum(distinct) == 1989
+
+
+# float64 values from every bit pattern, NaN payloads, subnormals and the infinities included.
+_BIT_PATTERN_FLOATS = st.integers(-(2**63), 2**63 - 1).map(lambda k: float(np.int64(k).view(np.float64)))
+
+
+class TestCellFormat:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(value=st.floats() | _BIT_PATTERN_FLOATS)
+    @example(value=0.0)
+    @example(value=-0.0)
+    @example(value=math.nan)
+    @example(value=math.copysign(math.nan, -1.0))
+    @example(value=math.inf)
+    @example(value=-math.inf)
+    @example(value=5e-324)
+    @example(value=-5e-324)
+    def test_fmt_is_the_six_digit_f_string(self, value):
+        assert cli._fmt(value) == f"{value:.6g}"
+        assert cli._fmt_many([value, value]) == [f"{value:.6g}"] * 2
+
+    def test_no_values_format_to_no_cells(self):
+        assert cli._fmt_many([]) == []
 
 
 # Tables longer than one block: stdout digests recorded from the whole-table writer, so the
@@ -767,6 +793,14 @@ class TestArgumentErrors:
         code, out, err = run(capsys, *_HUGE_COUNT_ARGV)
         assert (code, out) == (2, "")
         assert err == f"error: ValidationError: count {_HUGE} gives {_HUGE} grid points, above the cap of 100000\n"
+
+    def test_count_past_the_digit_limit_exits_2(self, capsys):
+        # 5,000 digits: more than int() converts from text by default, so argparse rejects it.
+        count = "1" + "0" * 4999
+        code, out, err = run(capsys, "decompose", "--input", str(INPUTS / "mixed_qubit.json"), "--count", count)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: qentropy decompose: argument --count: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 # Arbitrary JSON, with NaN, the infinities and an integer too large for a float among the scalars.
@@ -924,3 +958,26 @@ def test_command_grammar_keeps_the_cli_contract(argv):
     assert code in (0, 2, 3)
     assert err.getvalue().count("\n") <= 1
     assert "Traceback" not in err.getvalue()
+
+
+# One of each outcome: a table, a report, a usage error, help, and a document read.
+_PARSER_ARGVS = [
+    ("theorem-scan", "--step", "0.5", "--u2-step", "1"),
+    ("threshold",),
+    ("entropy", "--no-such-flag"),
+    ("entropy", "--help"),
+    ("entropy", "--input", str(INPUTS / "mixed_qubit.json")),
+]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_reused_parser_acts_as_a_fresh_one(order):
+    # main reads one parser per process; each call must give what a parser built for it gives.
+    argvs = _PARSER_ARGVS[::order]
+    with mock.patch.object(cli, "_parser", cli.build_parser):
+        fresh = [cli_output(*argv) for argv in argvs]
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0][::order]
+    assert all(err.count("\n") == 1 for code, _, err in fresh if code == 2)
+    assert [cli_output(*argv) for argv in argvs * 2] == fresh * 2
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,17 @@ class TestEnumerateSplits:
     def test_count_past_float_range_is_a_validation_error(self):
         with pytest.raises(q.ValidationError, match=f"gives {10**400} grid points, above the cap"):
             q.enumerate_splits(q.make_density(DOUBLE), 10**400)
+
+    def test_count_past_the_digit_limit_is_a_validation_error(self):
+        # Python refuses the decimal text of a 5,000-digit integer, so the message gives its size.
+        op, huge = q.make_density(DOUBLE), f"<integer of more than {sys.get_int_max_str_digits()} digits>"
+        with pytest.raises(q.ValidationError, match=f"^count {huge} gives {huge} grid points, above the cap of 100000$"):
+            q.enumerate_splits(op, 10**4999)
+        with pytest.raises(q.ValidationError, match=f"^count must be an integer of at least 1, got -{huge}$"):
+            q.enumerate_splits(op, -(10**4999))
+        # 4,300 digits still print exactly.
+        with pytest.raises(q.ValidationError, match=f"^count {10**4299} gives {10**4299} grid points, above the cap"):
+            q.enumerate_splits(op, 10**4299)
 
     def test_maximally_mixed_repeats_the_trivial_split(self):
         splits = q.enumerate_splits(q.make_density(np.eye(2) / 2.0), 5)

@@ -5,8 +5,9 @@ bodies included, so no import cycle can form and no function has to defer an
 import to run time. ``__init__`` re-exports everything and is exempt. A second
 test holds every tolerance in one table at the top of ``linalg``, a third
 keeps ``cli._print_columns`` the one writer of tables, a fourth keeps
-``qentropy.__all__`` the one sorted list of what ``__init__`` imports, and a
-fifth keeps ``entropy._entropy_bits`` the one place that takes a logarithm.
+``qentropy.__all__`` the one sorted list of what ``__init__`` imports, a
+fifth keeps ``entropy._entropy_bits`` the one place that takes a logarithm,
+and a sixth writes the CLI's real-number format once.
 """
 
 from __future__ import annotations
@@ -85,6 +86,27 @@ def test_cli_writes_tables_in_one_place():
     assert inside, "_print_columns no longer writes to sys.stdout"
     outside = sorted(set(stdout_writes(tree)) - set(inside))
     assert not outside, f"cli.py writes to sys.stdout outside _print_columns, at lines {outside}"
+
+
+def test_cli_writes_the_cell_format_once():
+    # Scalars (_fmt) and table cells (_column_cells) read one format, so they cannot drift apart.
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert source.count(".6g") == 1, "cli.py writes the six-digit format more than once, or not at all"
+    tree = ast.parse(source)
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            defs.update((target.id, node) for target in node.targets if isinstance(target, ast.Name))
+    home = next(name for name, node in defs.items() if ".6g" in ast.get_source_segment(source, node))
+
+    def reads_home(name, seen):
+        # Whether the top-level name reaches the format's home through the module names it reads.
+        seen.add(name)
+        names = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs}
+        return home in names or any(reads_home(n, seen) for n in names - seen)
+
+    for reader in ("_fmt", "_column_cells"):
+        assert reader == home or reads_home(reader, set()), f"{reader} does not read the format in {home}"
 
 
 def test_logarithms_live_in_the_entropy_kernel():
